@@ -98,10 +98,13 @@ collusion-check:
 
 # Heavy-traffic SLO regression guard: one open-loop, coordinated-omission-
 # safe sweep of a real-socket 3-device loopback fleet plus a 1000-virtual-
-# device simulation with churn, writing the latency-vs-load curves and
-# saturation knees to results/load.{json,md}. The declared SLOs carry large
-# slack over the observed tails (p99 ≈ 5ms / 12ms respectively), so only a
-# real latency regression — not CI jitter — makes this exit non-zero.
+# device simulation with churn (loadgen.VirtualSweep on internal/sim's
+# shared queueing kernel and perturbation timeline), writing the
+# latency-vs-load curves and saturation knees to results/load.{json,md}.
+# The declared SLOs carry large slack over the observed tails (p99 ≈ 5ms /
+# 12ms respectively), so only a real latency regression — not CI jitter —
+# makes this exit non-zero. The simulated scenario is deterministic; its
+# committed entry is pinned by TestLoadCheckSimScenarioMatchesCommitted.
 load-check:
 	$(GO) run ./cmd/scecnet load -rates 50,100,200 -step-requests 200 \
 		-slo "p99<=250ms@100" \
@@ -112,10 +115,12 @@ load-check:
 # Closed-loop recovery guard: the deterministic virtual-clock scenario (a
 # 1000-device fleet hit by a chronic 5x straggler and an 8s outage) served
 # by the adaptive control plane vs a frozen baseline vs an instant-replan
-# oracle. Writes results/adapt.json and fails unless the adaptive arm
-# recovers to within 1.5x the oracle's steady-state p99, stays >=2x better
-# than frozen, and drops zero queries — everything on the virtual clock and
-# one seeded RNG, so the committed report is bit-reproducible.
+# oracle, three placement policies on internal/sim's shared queueing kernel
+# and perturbation timeline (the same model as load-check's simulation).
+# Writes results/adapt.json and fails unless the adaptive arm recovers to
+# within 1.5x the oracle's steady-state p99, stays >=2x better than frozen,
+# and drops zero queries — everything on the virtual clock and one seeded
+# RNG, so the committed report is bit-reproducible (CI diffs it).
 adapt-check:
 	$(GO) run ./cmd/scecsim -adaptive -adapt-check -adapt-out results/adapt.json
 

@@ -320,8 +320,7 @@ func runSimLoad(out io.Writer, cfg simLoadConfig) error {
 		return err
 	}
 	sc.Steps = steps
-	sc.KneeQPS = loadgen.DetectKnee(steps, 0, 0)
-	sc.ChurnEvents, sc.Outages = stats.ChurnEvents, stats.Outages
+	sc.KneeQPS, sc.ChurnEvents, sc.Outages = stats.KneeQPS, stats.ChurnEvents, stats.Outages
 	sloErr := sc.CheckSLOs(slos)
 	col.FinishScenario(sc)
 	sc.WriteText(out)

@@ -1,7 +1,6 @@
 package adapt
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -17,64 +16,62 @@ import (
 
 // ScenarioConfig describes the virtual-clock recovery study: a large fleet
 // deployed by TA2 on base costs, hit mid-run by a chronic straggler and a
-// transient outage, served under three regimes — the adaptive control plane,
-// a frozen baseline that never re-plans, and an oracle that re-plans
-// instantly on the true factors. Everything runs on the virtual clock with
-// one seeded RNG, so a given config yields a bit-identical report.
+// transient outage, served under three placement policies — the adaptive
+// control plane, a frozen baseline that never re-plans, and an oracle that
+// re-plans instantly on the true factors. Everything runs on internal/sim's
+// queueing kernel and perturbation timeline with one seeded RNG, so a given
+// config yields a bit-identical report.
 type ScenarioConfig struct {
-	// Devices is the candidate pool size (default 1000); M×Cols the data
-	// matrix shape (default 4096×256).
-	Devices, M, Cols int
-	// Concurrency is how many rounds the user keeps in flight (default 16);
-	// QPS the open-loop offered load (default 100); Duration the virtual run
-	// length (default 60s).
-	Concurrency int
-	QPS         float64
-	Duration    time.Duration
+	// Devices is the candidate pool size (default 1000); M the data
+	// matrix's row count (default 4096; it has scenarioCols columns).
+	Devices, M int
+	// QPS is the open-loop offered load (default 100); Duration the virtual
+	// run length (default 60s).
+	QPS      float64
+	Duration time.Duration
 	// Seed drives the Poisson arrivals (default 1).
 	Seed uint64
-	// Profile is the nominal device (zero: 1 MF/s compute, 10M values/s
-	// links, 2 ms latency — compute-dominated, so straggling is visible).
-	Profile sim.DeviceProfile
-	// CostSpread shapes base costs: device j costs 1 + CostSpread·j/(k−1)
-	// (default 1), so TA2 uses a cheap prefix and leaves the expensive tail
-	// as migration headroom.
-	CostSpread float64
 
-	// StragglerAt injects a chronic StragglerFactor× slowdown (default 5×)
-	// into the device hosting block 0, at 10s by default; negative disables.
-	StragglerAt     time.Duration
-	StragglerFactor float64
-	// OutageAt takes the device hosting block 1 down for OutageDuration
-	// (defaults 20s and 8s); negative disables.
-	OutageAt       time.Duration
-	OutageDuration time.Duration
+	// StragglerAt injects a chronic stragglerFactor× slowdown into the
+	// device hosting block 0, at 10s by default; negative disables.
+	StragglerAt time.Duration
+	// OutageAt takes the device hosting block 1 down for outageDuration
+	// (default 20s); negative disables.
+	OutageAt time.Duration
 	// Replay, when non-nil, replaces the built-in chronic straggler with a
-	// recorded per-device factor timeline (loadgen.ReplayFromStragglers);
+	// recorded per-device factor schedule (loadgen.ReplayFromStragglers);
 	// Devices[j] follows pool device j.
-	Replay *loadgen.Replay
+	Replay *sim.Timeline
 
 	// InitialR forces the starting deployment to the (suboptimal) plan
 	// PlanForR(base, InitialR) instead of the TA2 optimum — a way to watch
 	// the control plane discover a better r and reshape. Zero starts
 	// optimal.
 	InitialR int
+}
 
-	// Control-loop knobs; zero values select the adapt defaults, except
-	// ReplanEvery (default 500ms), MinImprovement (default 0.03), and
-	// Cooldown (default 2s), which run tighter than the wall-clock defaults
-	// to match the virtual timescale.
-	ReplanEvery    time.Duration
-	MinImprovement float64
-	Cooldown       time.Duration
-	Alpha          float64
-	MinSamples     int
-	OutageFactor   float64
-	MaxFactor      float64
+// The scenario's fixed shape. The control loop runs tighter than the
+// wall-clock defaults (scenarioReplanEvery, scenarioMinImprovement,
+// scenarioCooldown, scenarioAlpha) to match the virtual timescale.
+const (
+	scenarioCols           = 256
+	scenarioConcurrency    = 16 // rounds the user keeps in flight
+	stragglerFactor        = 5.0
+	outageDuration         = 8 * time.Second
+	scenarioReplanEvery    = 500 * time.Millisecond
+	scenarioMinImprovement = 0.03
+	scenarioCooldown       = 2 * time.Second
+	scenarioAlpha          = 0.35
+)
 
-	// MeasureFrom is where the steady-state window starts (default
-	// 0.6×Duration — after both faults and the recovery transient).
-	MeasureFrom time.Duration
+// scenarioProfile is the nominal device: 1 MF/s compute, 10M values/s
+// links, 2 ms latency — compute-dominated, so straggling is visible.
+var scenarioProfile = sim.DeviceProfile{
+	ComputeRate:     1e6,
+	UplinkRate:      10e6,
+	DownlinkRate:    10e6,
+	Latency:         2 * time.Millisecond,
+	StragglerFactor: 1,
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -83,12 +80,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.M <= 0 {
 		c.M = 4096
-	}
-	if c.Cols <= 0 {
-		c.Cols = 256
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 16
 	}
 	if c.QPS <= 0 {
 		c.QPS = 100
@@ -99,55 +90,19 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Profile == (sim.DeviceProfile{}) {
-		c.Profile = sim.DeviceProfile{
-			ComputeRate:     1e6,
-			UplinkRate:      10e6,
-			DownlinkRate:    10e6,
-			Latency:         2 * time.Millisecond,
-			StragglerFactor: 1,
-		}
-	}
-	if c.CostSpread <= 0 {
-		c.CostSpread = 1
-	}
 	if c.StragglerAt == 0 {
 		c.StragglerAt = 10 * time.Second
-	}
-	if c.StragglerFactor <= 1 {
-		c.StragglerFactor = 5
 	}
 	if c.OutageAt == 0 {
 		c.OutageAt = 20 * time.Second
 	}
-	if c.OutageDuration <= 0 {
-		c.OutageDuration = 8 * time.Second
-	}
-	if c.ReplanEvery <= 0 {
-		c.ReplanEvery = 500 * time.Millisecond
-	}
-	if c.MinImprovement <= 0 {
-		c.MinImprovement = 0.03
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.35
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.OutageFactor <= 1 {
-		c.OutageFactor = DefaultOutageFactor
-	}
-	if c.MaxFactor <= 1 {
-		c.MaxFactor = DefaultMaxFactor
-	}
-	if c.MeasureFrom <= 0 {
-		c.MeasureFrom = time.Duration(0.6 * float64(c.Duration))
-	}
 	return c
+}
+
+// measureFrom is where the steady-state window starts: 0.6×Duration, after
+// both faults and the recovery transient.
+func (c ScenarioConfig) measureFrom() time.Duration {
+	return time.Duration(0.6 * float64(c.Duration))
 }
 
 // ArmResult summarizes one serving regime.
@@ -157,7 +112,7 @@ type ArmResult struct {
 	// FailedQueries is always 0 by construction — migrations never drop a
 	// request — and reported so the invariant is pinned in results files.
 	FailedQueries int `json:"failedQueries"`
-	// Steady* are quantiles over requests arriving after MeasureFrom;
+	// Steady* are quantiles over requests arriving after MeasureFromMs;
 	// OverallP99 covers the whole run (fault transients included).
 	SteadyP50Ms  float64 `json:"steadyP50Ms"`
 	SteadyP95Ms  float64 `json:"steadyP95Ms"`
@@ -175,13 +130,13 @@ type ArmResult struct {
 
 // RecoveryReport is the scenario's deterministic output.
 type RecoveryReport struct {
-	Devices, M, Cols int     `json:"-"`
-	QPS              float64 `json:"qps"`
-	Seed             uint64  `json:"seed"`
-	DurationMs       int64   `json:"durationMs"`
-	MeasureFromMs    int64   `json:"measureFromMs"`
-	StragglerDevice  int     `json:"stragglerDevice"`
-	OutageDevice     int     `json:"outageDevice"`
+	Devices, M      int     `json:"-"`
+	QPS             float64 `json:"qps"`
+	Seed            uint64  `json:"seed"`
+	DurationMs      int64   `json:"durationMs"`
+	MeasureFromMs   int64   `json:"measureFromMs"`
+	StragglerDevice int     `json:"stragglerDevice"`
+	OutageDevice    int     `json:"outageDevice"`
 
 	Adaptive ArmResult `json:"adaptive"`
 	Frozen   ArmResult `json:"frozen"`
@@ -200,24 +155,22 @@ type RecoveryReport struct {
 // RunScenario runs the three arms and compares them.
 func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Replay.Validate(); err != nil {
 		return nil, err
 	}
-	base := make([]float64, cfg.Devices)
-	hosts := make([]Host, cfg.Devices)
-	for j := range base {
-		base[j] = 1 + cfg.CostSpread*float64(j)/float64(cfg.Devices-1)
-		hosts[j] = Host{Addr: "dev-" + strconv.Itoa(j), Base: base[j]}
+	sc := &scenario{cfg: cfg, base: make([]float64, cfg.Devices), hosts: make([]Host, cfg.Devices)}
+	sc.devOf = make(map[string]int, cfg.Devices)
+	for j := range sc.base {
+		sc.base[j] = 1 + float64(j)/float64(cfg.Devices-1)
+		sc.hosts[j] = Host{Addr: "dev-" + strconv.Itoa(j), Base: sc.base[j]}
+		sc.devOf[sc.hosts[j].Addr] = j
 	}
 	var plan0 alloc.Plan
 	var err error
 	if cfg.InitialR > 0 {
-		plan0, err = alloc.PlanForR(alloc.Instance{M: cfg.M, Costs: base}, cfg.InitialR)
+		plan0, err = alloc.PlanForR(alloc.Instance{M: cfg.M, Costs: sc.base}, cfg.InitialR)
 	} else {
-		plan0, err = alloc.TA2(alloc.Instance{M: cfg.M, Costs: base})
+		plan0, err = alloc.TA2(alloc.Instance{M: cfg.M, Costs: sc.base})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("adapt: scenario: initial plan: %w", err)
@@ -227,29 +180,44 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	}
 	sDev, oDev := plan0.Assignments[0].Device, plan0.Assignments[1].Device
 
+	// The faults are timeline entries: the chronic straggler (or the
+	// replayed schedule) and the outage window.
+	sc.tl = &sim.Timeline{}
+	if cfg.Replay != nil {
+		sc.tl.Devices = cfg.Replay.Devices
+	} else if cfg.StragglerAt >= 0 {
+		sc.tl.Devices = make([][]sim.Step, sDev+1)
+		sc.tl.Devices[sDev] = []sim.Step{{At: cfg.StragglerAt, Factor: stragglerFactor}}
+	}
+	if cfg.OutageAt >= 0 {
+		sc.tl.Down(oDev, cfg.OutageAt, cfg.OutageAt+outageDuration)
+	}
+
 	// One arrival schedule shared by every arm: Poisson at QPS until
 	// Duration.
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xadab7))
 	var arrivals []time.Duration
-	for at := time.Duration(0); at < cfg.Duration; {
+	for at := time.Duration(0); at < cfg.Duration; at += (loadgen.Poisson{}).Gap(rng, cfg.QPS) {
 		arrivals = append(arrivals, at)
-		at += time.Duration(rng.ExpFloat64() / cfg.QPS * float64(time.Second))
 	}
 
 	rep := &RecoveryReport{
-		Devices: cfg.Devices, M: cfg.M, Cols: cfg.Cols,
+		Devices: cfg.Devices, M: cfg.M,
 		QPS: cfg.QPS, Seed: cfg.Seed,
 		DurationMs:      cfg.Duration.Milliseconds(),
-		MeasureFromMs:   cfg.MeasureFrom.Milliseconds(),
+		MeasureFromMs:   cfg.measureFrom().Milliseconds(),
 		StragglerDevice: sDev,
 		OutageDevice:    oDev,
 	}
-	frozen := newArm(cfg, "frozen", hosts, base, plan0, sDev, oDev)
-	oracle := newArm(cfg, "oracle", hosts, base, plan0, sDev, oDev)
-	adaptive := newArm(cfg, "adaptive", hosts, base, plan0, sDev, oDev)
-	rep.Frozen = frozen.run(arrivals)
-	rep.Oracle = oracle.run(arrivals)
-	rep.Adaptive = adaptive.run(arrivals)
+	planner, _ := NewPlanner(cfg.M, sc.hosts, scenarioMinImprovement, scenarioCooldown)
+	adaptive := &adaptivePolicy{
+		est:      NewEstimator(scenarioAlpha, DefaultMinSamples, DefaultMaxFactor),
+		planner:  planner,
+		nextTick: scenarioReplanEvery,
+	}
+	rep.Frozen = sc.run("frozen", frozenPolicy{}, plan0, arrivals)
+	rep.Oracle = sc.run("oracle", &oraclePolicy{at: sc.tl.Changes()}, plan0, arrivals)
+	rep.Adaptive = sc.run("adaptive", adaptive, plan0, arrivals)
 	rep.Events = adaptive.events
 	if rep.Oracle.SteadyP99Ms > 0 {
 		rep.AdaptiveOverOracleP99 = rep.Adaptive.SteadyP99Ms / rep.Oracle.SteadyP99Ms
@@ -260,65 +228,28 @@ func RunScenario(cfg ScenarioConfig) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// arm is one serving regime's simulation state.
-type arm struct {
-	cfg        ScenarioConfig
-	name       string
-	hosts      []Host
-	base       []float64
-	sDev, oDev int
-
-	placement []BlockHost // live assignment, scheme block order
-	devOf     map[string]int
-
-	// adaptive state
-	est       *Estimator
-	planner   *Planner
-	nextTick  time.Duration
-	pending   []BlockHost // migration in flight, applied at pendingAt
-	pendingAt time.Duration
-	havePend  bool
-	replans   int
-	adopts    int
-	moved     int
-	events    []string
-
-	// oracle state
-	oracleAt []time.Duration
-	oracleIx int
+// scenario is what the three arms share: the candidate pool, its base
+// costs, and the perturbation timeline.
+type scenario struct {
+	cfg   ScenarioConfig
+	hosts []Host
+	base  []float64
+	devOf map[string]int
+	tl    *sim.Timeline
 }
 
-func newArm(cfg ScenarioConfig, name string, hosts []Host, base []float64, plan0 alloc.Plan, sDev, oDev int) *arm {
-	a := &arm{cfg: cfg, name: name, hosts: hosts, base: base, sDev: sDev, oDev: oDev}
-	a.devOf = make(map[string]int, len(hosts))
-	for j, h := range hosts {
-		a.devOf[h.Addr] = j
-	}
-	a.placement = placementOf(plan0, hosts)
-	switch name {
-	case "adaptive":
-		a.est = NewEstimator(cfg.Alpha, cfg.MinSamples, cfg.MaxFactor)
-		a.planner, _ = NewPlanner(cfg.M, hosts, cfg.MinImprovement, cfg.Cooldown)
-		a.nextTick = cfg.ReplanEvery
-	case "oracle":
-		times := []time.Duration{}
-		if cfg.StragglerAt >= 0 && cfg.Replay == nil {
-			times = append(times, cfg.StragglerAt)
-		}
-		if cfg.OutageAt >= 0 {
-			times = append(times, cfg.OutageAt, cfg.OutageAt+cfg.OutageDuration)
-		}
-		if cfg.Replay != nil {
-			for _, steps := range cfg.Replay.Devices {
-				for _, s := range steps {
-					times = append(times, s.At)
-				}
-			}
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		a.oracleAt = times
-	}
-	return a
+// policy is a placement policy: advance moves an arm's live placement
+// forward to a round starting at t.
+type policy interface {
+	advance(a *arm, t time.Duration)
+}
+
+// arm is one policy's serving state.
+type arm struct {
+	*scenario
+	placement []BlockHost // live assignment, scheme block order
+	// control activity (adaptive policy only)
+	replans, adopts, moved int
 }
 
 // placementOf maps a plan onto host addresses in scheme block order.
@@ -330,143 +261,104 @@ func placementOf(p alloc.Plan, hosts []Host) []BlockHost {
 	return out
 }
 
-// trueFactor is the device's real slowdown at virtual time t.
-func (a *arm) trueFactor(dev int, t time.Duration) float64 {
-	if a.cfg.Replay != nil {
-		f := 1.0
-		if dev < len(a.cfg.Replay.Devices) {
-			for _, s := range a.cfg.Replay.Devices[dev] {
-				if s.At > t {
-					break
-				}
-				f = s.Factor
+// roundTime prices one placed block's share of a round starting at t.
+func (sc *scenario) roundTime(b BlockHost, t time.Duration) time.Duration {
+	return sc.tl.RoundTime(sc.devOf[b.Addr], b.Rows, scenarioCols, scenarioProfile, t)
+}
+
+// down reports whether pool device j is out at t.
+func (sc *scenario) down(j int, t time.Duration) bool { return sc.tl.DownUntil(j, t) > t }
+
+// frozenPolicy never re-plans.
+type frozenPolicy struct{}
+
+func (frozenPolicy) advance(*arm, time.Duration) {}
+
+// oraclePolicy re-runs TA2 on the true factors at every timeline change,
+// applied instantly and free.
+type oraclePolicy struct {
+	at []time.Duration
+	ix int
+}
+
+func (o *oraclePolicy) advance(a *arm, t time.Duration) {
+	for ; o.ix < len(o.at) && o.at[o.ix] <= t; o.ix++ {
+		now := o.at[o.ix]
+		costs := make([]float64, len(a.base))
+		for j := range costs {
+			f := a.tl.Factor(j, now)
+			if a.down(j, now) {
+				f = math.Max(f, DefaultOutageFactor)
 			}
+			costs[j] = a.base[j] * f
 		}
-		if f < 1 {
-			f = 1
-		}
-		return f
-	}
-	if dev == a.sDev && a.cfg.StragglerAt >= 0 && t >= a.cfg.StragglerAt {
-		return a.cfg.StragglerFactor
-	}
-	return 1
-}
-
-// downUntil returns when the device recovers, or 0 if it is up at t.
-func (a *arm) downUntil(dev int, t time.Duration) time.Duration {
-	if a.cfg.OutageAt < 0 || dev != a.oDev {
-		return 0
-	}
-	end := a.cfg.OutageAt + a.cfg.OutageDuration
-	if t >= a.cfg.OutageAt && t < end {
-		return end
-	}
-	return 0
-}
-
-// contribution prices one device's share of a round starting at t.
-func (a *arm) contribution(dev, rows int, t time.Duration) time.Duration {
-	p := a.cfg.Profile
-	p.StragglerFactor *= a.trueFactor(dev, t)
-	d := sim.DeviceRoundTime(rows, a.cfg.Cols, 1, p)
-	if end := a.downUntil(dev, t); end > t {
-		d += end - t
-	}
-	return d
-}
-
-// service prices one round at t: the slowest participating device.
-func (a *arm) service(t time.Duration) time.Duration {
-	var worst time.Duration
-	for _, b := range a.placement {
-		if d := a.contribution(a.devOf[b.Addr], b.Rows, t); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// advance runs the arm's control machinery up to virtual time t.
-func (a *arm) advance(t time.Duration) {
-	switch a.name {
-	case "oracle":
-		for a.oracleIx < len(a.oracleAt) && a.oracleAt[a.oracleIx] <= t {
-			a.oracleReplan(a.oracleAt[a.oracleIx])
-			a.oracleIx++
-		}
-	case "adaptive":
-		for {
-			// Interleave control ticks and migration completions in time
-			// order.
-			if a.havePend && a.pendingAt <= t && a.pendingAt <= a.nextTick {
-				a.placement = a.pending
-				a.havePend = false
-				continue
-			}
-			if a.nextTick <= t {
-				a.tick(a.nextTick)
-				a.nextTick += a.cfg.ReplanEvery
-				continue
-			}
-			return
+		if plan, err := alloc.TA2(alloc.Instance{M: a.cfg.M, Costs: costs}); err == nil {
+			a.placement = placementOf(plan, a.hosts)
 		}
 	}
 }
 
-// oracleReplan re-runs TA2 on the true factors, applied instantly and free.
-func (a *arm) oracleReplan(t time.Duration) {
-	costs := make([]float64, len(a.base))
-	for j := range costs {
-		f := a.trueFactor(j, t)
-		if a.downUntil(j, t) > t {
-			f = math.Max(f, a.cfg.OutageFactor)
+// adaptivePolicy is the control plane: an estimator fed from winning-attempt
+// latencies, a hysteretic planner, and one migration at a time, which lands
+// once its block pushes complete.
+type adaptivePolicy struct {
+	est       *Estimator
+	planner   *Planner
+	nextTick  time.Duration
+	pending   []BlockHost // migration in flight, applied at pendingAt
+	pendingAt time.Duration
+	havePend  bool
+	events    []string
+}
+
+func (p *adaptivePolicy) advance(a *arm, t time.Duration) {
+	for {
+		// Interleave control ticks and migration completions in time order.
+		if p.havePend && p.pendingAt <= t && p.pendingAt <= p.nextTick {
+			a.placement = p.pending
+			p.havePend = false
+			continue
 		}
-		costs[j] = a.base[j] * f
-	}
-	plan, err := alloc.TA2(alloc.Instance{M: a.cfg.M, Costs: costs})
-	if err != nil {
+		if p.nextTick <= t {
+			p.tick(a, p.nextTick)
+			p.nextTick += scenarioReplanEvery
+			continue
+		}
 		return
 	}
-	a.placement = placementOf(plan, a.hosts)
 }
 
 // tick is one adaptive control cycle at virtual time t.
-func (a *arm) tick(t time.Duration) {
+func (p *adaptivePolicy) tick(a *arm, t time.Duration) {
 	// Feed the estimator what the straggler digest would have seen: each
 	// participating device's winning-attempt latency at its true speed.
-	for _, b := range a.placement {
-		dev := a.devOf[b.Addr]
-		if a.downUntil(dev, t) > t {
-			continue // a down device wins no attempts
-		}
-		a.est.ObserveLatency(b.Addr, t, a.contribution(dev, b.Rows, t), b.Rows)
-	}
-	if a.havePend {
-		return // one migration at a time
-	}
-	factors := a.est.Factors()
 	urgent := false
 	for _, b := range a.placement {
-		if a.downUntil(a.devOf[b.Addr], t) > t {
-			urgent = true
+		if a.down(a.devOf[b.Addr], t) {
+			urgent = true // a down device wins no attempts
+			continue
+		}
+		p.est.ObserveLatency(b.Addr, t, a.roundTime(b, t), b.Rows)
+	}
+	if p.havePend {
+		return // one migration at a time
+	}
+	factors := p.est.Factors()
+	// Pin every down device to the outage factor, placed or not, as the
+	// live controller does for hosts its health probe marks unhealthy.
+	for j, h := range a.hosts {
+		if a.down(j, t) && factors[h.Addr] < DefaultOutageFactor {
+			factors[h.Addr] = DefaultOutageFactor
 		}
 	}
-	if a.cfg.OutageAt >= 0 {
-		oAddr := a.hosts[a.oDev].Addr
-		if a.downUntil(a.oDev, t) > t && factors[oAddr] < a.cfg.OutageFactor {
-			factors[oAddr] = a.cfg.OutageFactor
-		}
-	}
-	d, err := a.planner.Decide(t, factors, a.placement, urgent)
+	d, err := p.planner.Decide(t, factors, a.placement, urgent)
 	a.replans++
 	if err != nil || !d.Adopt {
 		return
 	}
 	a.adopts++
-	a.events = append(a.events, fmt.Sprintf("t=%.2fs %s", t.Seconds(), d.Reason))
+	p.events = append(p.events, fmt.Sprintf("t=%.2fs %s", t.Seconds(), d.Reason))
 
-	prof := a.cfg.Profile
 	if d.Reshape {
 		scheme, err := coding.New(a.cfg.M, d.R)
 		if err != nil || scheme.Devices() != len(d.Target) {
@@ -475,52 +367,48 @@ func (a *arm) tick(t time.Duration) {
 		next := make([]BlockHost, len(d.Target))
 		var push time.Duration
 		for b, addr := range d.Target {
-			rows := scheme.RowsOn(b)
-			next[b] = BlockHost{Block: b, Addr: addr, Rows: rows}
-			if p := prof.Latency + time.Duration(float64(rows*a.cfg.Cols)/prof.UplinkRate*float64(time.Second)); p > push {
-				push = p
-			}
+			next[b] = BlockHost{Block: b, Addr: addr, Rows: scheme.RowsOn(b)}
+			push = max(push, sim.PushTime(next[b].Rows, scenarioCols, scenarioProfile))
 		}
-		a.pending, a.pendingAt, a.havePend = next, t+push, true
+		p.pending, p.pendingAt, p.havePend = next, t+push, true
 		a.moved += len(next)
-		a.events = append(a.events, fmt.Sprintf("t=%.2fs reshape to r=%d over %d devices (ready %.2fs)", t.Seconds(), d.R, len(next), (t+push).Seconds()))
+		p.events = append(p.events, fmt.Sprintf("t=%.2fs reshape to r=%d over %d devices (ready %.2fs)", t.Seconds(), d.R, len(next), (t+push).Seconds()))
 		return
 	}
 	next := append([]BlockHost(nil), a.placement...)
 	var push time.Duration
 	for _, mv := range d.Moves {
 		next[mv.Block].Addr = mv.To
-		rows := next[mv.Block].Rows
 		// Rehost pushes run one after another in the controller.
-		push += prof.Latency + time.Duration(float64(rows*a.cfg.Cols)/prof.UplinkRate*float64(time.Second))
-		a.events = append(a.events, fmt.Sprintf("t=%.2fs rehost block %d %s → %s", t.Seconds(), mv.Block, mv.From, mv.To))
+		push += sim.PushTime(next[mv.Block].Rows, scenarioCols, scenarioProfile)
+		p.events = append(p.events, fmt.Sprintf("t=%.2fs rehost block %d %s → %s", t.Seconds(), mv.Block, mv.From, mv.To))
 	}
-	a.pending, a.pendingAt, a.havePend = next, t+push, true
+	p.pending, p.pendingAt, p.havePend = next, t+push, true
 	a.moved += len(d.Moves)
 }
 
-// run drives the arrival schedule through the arm and summarizes it.
-func (a *arm) run(arrivals []time.Duration) ArmResult {
-	servers := make(durHeap, a.cfg.Concurrency)
-	heap.Init(&servers)
+// run serves the arrival schedule under one policy, starting from plan0,
+// and summarizes it. A round lasts as long as its slowest placed device.
+func (sc *scenario) run(name string, pol policy, plan0 alloc.Plan, arrivals []time.Duration) ArmResult {
+	a := &arm{scenario: sc, placement: placementOf(plan0, sc.hosts)}
+	measureFrom := sc.cfg.measureFrom()
 	var overall, steady []time.Duration
-	for _, arrive := range arrivals {
-		free := heap.Pop(&servers).(time.Duration)
-		start := arrive
-		if free > start {
-			start = free
+	sim.FCFS(scenarioConcurrency, arrivals, func(start time.Duration) time.Duration {
+		pol.advance(a, start)
+		var worst time.Duration
+		for _, b := range a.placement {
+			worst = max(worst, a.roundTime(b, start))
 		}
-		a.advance(start)
-		finish := start + a.service(start)
-		heap.Push(&servers, finish)
+		return worst
+	}, func(arrive, finish time.Duration) {
 		lat := finish - arrive
 		overall = append(overall, lat)
-		if arrive >= a.cfg.MeasureFrom {
+		if arrive >= measureFrom {
 			steady = append(steady, lat)
 		}
-	}
+	})
 	res := ArmResult{
-		Name:         a.name,
+		Name:         name,
 		Requests:     len(arrivals),
 		SteadyP50Ms:  msOf(quantileDur(steady, 0.50)),
 		SteadyP95Ms:  msOf(quantileDur(steady, 0.95)),
@@ -531,23 +419,14 @@ func (a *arm) run(arrivals []time.Duration) ArmResult {
 		BlocksMoved:  a.moved,
 	}
 	for _, b := range a.placement {
-		res.FinalBaseCost += float64(b.Rows) * a.base[a.devOf[b.Addr]]
-		if b.Rows > res.FinalR {
-			res.FinalR = b.Rows
-		}
+		res.FinalBaseCost += float64(b.Rows) * sc.base[sc.devOf[b.Addr]]
+		res.FinalR = max(res.FinalR, b.Rows)
 	}
 	return res
 }
 
-// durHeap is a min-heap of server free times.
-type durHeap []time.Duration
+func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func (h durHeap) Len() int           { return len(h) }
-func (h durHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h durHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *durHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *durHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func msOf(d time.Duration) float64   { return float64(d.Nanoseconds()) / 1e6 }
 func quantileDur(v []time.Duration, q float64) time.Duration {
 	if len(v) == 0 {
 		return 0

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/alloc"
-	"github.com/scec/scec/internal/loadgen"
+	"github.com/scec/scec/internal/sim"
 )
 
 // TestScenarioRecovery is the acceptance guard for the adaptive control
@@ -136,10 +136,10 @@ func TestScenarioReshape(t *testing.T) {
 }
 
 // TestScenarioReplay drives the straggler from a recorded per-device
-// timeline (satellite of loadgen.Replay) instead of the built-in fault:
+// timeline (a sim.Timeline in the replay format) instead of the built-in fault:
 // the control plane must still find and evict the replayed straggler.
 func TestScenarioReplay(t *testing.T) {
-	replay := &loadgen.Replay{Devices: [][]loadgen.ReplayStep{
+	replay := &sim.Timeline{Devices: [][]sim.Step{
 		0: {{At: 5 * time.Second, Factor: 6}},
 	}}
 	cfg := ScenarioConfig{
@@ -167,7 +167,7 @@ func TestScenarioReplay(t *testing.T) {
 }
 
 func TestScenarioRejectsInvalidReplay(t *testing.T) {
-	_, err := RunScenario(ScenarioConfig{Replay: &loadgen.Replay{Devices: [][]loadgen.ReplayStep{
+	_, err := RunScenario(ScenarioConfig{Replay: &sim.Timeline{Devices: [][]sim.Step{
 		{{At: time.Second, Factor: 1}, {At: 0, Factor: 2}}, // out of order
 	}}})
 	if err == nil {

@@ -1,56 +1,19 @@
 package loadgen
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/sim"
 )
 
-// ReplayStep is one change point in a device's recorded slowdown timeline:
-// from At onward the device's compute is Factor× its nominal speed, until
-// the next step (factors ≤ 1 mean nominal).
-type ReplayStep struct {
-	At     time.Duration `json:"atNs"`
-	Factor float64       `json:"factor"`
-}
-
-// Replay pins per-device straggler factors to a recorded timeline instead of
-// (or on top of) random churn: Devices[j] is device j's piecewise-constant
-// factor schedule, in virtual-clock order. A nil/short schedule leaves the
-// device nominal. Replays compose multiplicatively with churn slowdowns;
-// runs meant to reproduce a recorded incident typically set ChurnEvery to
-// zero so the replay is the only perturbation.
-type Replay struct {
-	Devices [][]ReplayStep `json:"devices"`
-}
-
-// Validate rejects unsorted schedules and non-positive factors.
-func (r *Replay) Validate() error {
-	if r == nil {
-		return nil
-	}
-	for j, steps := range r.Devices {
-		last := time.Duration(-1)
-		for i, s := range steps {
-			if s.At < last {
-				return fmt.Errorf("loadgen: replay device %d step %d at %v is out of order", j, i, s.At)
-			}
-			last = s.At
-			if s.Factor <= 0 {
-				return fmt.Errorf("loadgen: replay device %d step %d has factor %g, need > 0", j, i, s.Factor)
-			}
-		}
-	}
-	return nil
-}
-
 // ReplayFromStragglers converts a live fleet's straggler digest into a
-// replay profile: each device's factor is its p95 winning-attempt latency
-// relative to the fleet-median p50, clamped to at least 1 — i.e. "make the
-// virtual fleet straggle the way the real one just did". Devices appear in
-// digest order; devices without samples stay nominal.
-func ReplayFromStragglers(digest []trace.DeviceStats) *Replay {
+// replay timeline for VirtualOptions.Replay or adapt.ScenarioConfig.Replay:
+// each device's factor is its p95 winning-attempt latency relative to the
+// fleet-median p50, clamped to at least 1 — i.e. "make the virtual fleet
+// straggle the way the real one just did". Devices appear in digest order;
+// devices without samples stay nominal.
+func ReplayFromStragglers(digest []trace.DeviceStats) *sim.Timeline {
 	var p50s []time.Duration
 	for _, d := range digest {
 		if d.Samples > 0 && d.P50 > 0 {
@@ -58,7 +21,7 @@ func ReplayFromStragglers(digest []trace.DeviceStats) *Replay {
 		}
 	}
 	baseline := medianDuration(p50s)
-	r := &Replay{Devices: make([][]ReplayStep, len(digest))}
+	r := &sim.Timeline{Devices: make([][]sim.Step, len(digest))}
 	if baseline <= 0 {
 		return r
 	}
@@ -70,7 +33,7 @@ func ReplayFromStragglers(digest []trace.DeviceStats) *Replay {
 		if factor < 1 {
 			factor = 1
 		}
-		r.Devices[j] = []ReplayStep{{At: 0, Factor: factor}}
+		r.Devices[j] = []sim.Step{{At: 0, Factor: factor}}
 	}
 	return r
 }

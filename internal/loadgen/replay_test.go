@@ -5,27 +5,28 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/obs/trace"
+	"github.com/scec/scec/internal/sim"
 )
 
 func TestReplayValidate(t *testing.T) {
-	var nilReplay *Replay
+	var nilReplay *sim.Timeline
 	if err := nilReplay.Validate(); err != nil {
 		t.Fatalf("nil replay must be valid: %v", err)
 	}
-	ok := &Replay{Devices: [][]ReplayStep{
+	ok := &sim.Timeline{Devices: [][]sim.Step{
 		nil,
 		{{At: 0, Factor: 1}, {At: time.Second, Factor: 4}, {At: time.Second, Factor: 1}},
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid replay rejected: %v", err)
 	}
-	outOfOrder := &Replay{Devices: [][]ReplayStep{
+	outOfOrder := &sim.Timeline{Devices: [][]sim.Step{
 		{{At: time.Second, Factor: 2}, {At: 0, Factor: 1}},
 	}}
 	if err := outOfOrder.Validate(); err == nil {
 		t.Fatal("out-of-order schedule accepted")
 	}
-	badFactor := &Replay{Devices: [][]ReplayStep{
+	badFactor := &sim.Timeline{Devices: [][]sim.Step{
 		{{At: 0, Factor: 0}},
 	}}
 	if err := badFactor.Validate(); err == nil {
@@ -83,7 +84,7 @@ func TestVirtualSweepReplayDegradesTail(t *testing.T) {
 	}
 
 	replayed := base
-	replayed.Replay = &Replay{Devices: [][]ReplayStep{
+	replayed.Replay = &sim.Timeline{Devices: [][]sim.Step{
 		3: {{At: 0, Factor: 10}},
 	}}
 	slow, _, err := VirtualSweep(replayed)
@@ -103,7 +104,7 @@ func TestVirtualSweepReplayDegradesTail(t *testing.T) {
 	}
 
 	bad := base
-	bad.Replay = &Replay{Devices: [][]ReplayStep{{{At: 0, Factor: -1}}}}
+	bad.Replay = &sim.Timeline{Devices: [][]sim.Step{{{At: 0, Factor: -1}}}}
 	if _, _, err := VirtualSweep(bad); err == nil {
 		t.Fatal("invalid replay accepted by VirtualSweep")
 	}

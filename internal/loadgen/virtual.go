@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -12,11 +11,11 @@ import (
 // VirtualOptions configures a virtual-clock load scenario: the same stepped
 // open-loop sweep the wall-clock generator runs, executed as a discrete-
 // event simulation over thousands of modelled devices. Requests arrive per
-// the schedule on the virtual clock; each round's service time is priced by
-// internal/sim's device timeline (the slowest device bounds the round, as in
-// the real gather), and the user sustains Concurrency rounds in flight, so
-// offered load beyond Concurrency/serviceTime queues — which is exactly the
-// saturation knee the sweep detects. Latency is measured from the intended
+// the schedule on the virtual clock; each round's service time is priced on
+// a sim.Timeline (the slowest device bounds the round, as in the real
+// gather), and the user sustains Concurrency rounds in flight through the
+// sim.FCFS queueing kernel, so offered load beyond Concurrency/serviceTime
+// queues — which is exactly the saturation knee the sweep detects. Latency is measured from the intended
 // virtual arrival time, the same coordinated-omission-safe rule as the real
 // generator.
 type VirtualOptions struct {
@@ -32,9 +31,6 @@ type VirtualOptions struct {
 	// Concurrency is how many rounds the user drives in parallel (the
 	// service capacity of the queueing model). Zero means 16.
 	Concurrency int
-	// Profile is the nominal device profile; churn perturbs copies of it.
-	// The zero value means sim.DefaultProfile().
-	Profile sim.DeviceProfile
 	// ChurnEvery is the mean virtual interval between churn events (a device
 	// transiently slowing down, or dropping out and re-provisioning). Zero
 	// disables churn.
@@ -43,30 +39,32 @@ type VirtualOptions struct {
 	// device leaves and its replacement must receive the coded block before
 	// rounds can complete. The rest are slowdowns. Zero means 0.25.
 	OutageFrac float64
-	// SlowFactorMax bounds the straggler factor churn applies (sampled
-	// uniformly from [2, SlowFactorMax]). Zero means 8.
-	SlowFactorMax float64
-	// SlowDuration is the mean length of a churn slowdown. Zero means
-	// 10×ChurnEvery.
-	SlowDuration time.Duration
 	// Replay, when non-nil, drives per-device straggler factors from a
-	// recorded timeline (e.g. ReplayFromStragglers over a live fleet's
+	// recorded schedule (e.g. ReplayFromStragglers over a live fleet's
 	// straggler digest) instead of — or on top of — random churn.
-	Replay *Replay
+	Replay *sim.Timeline
 
-	// Rates, RequestsPerStep, Arrival, Seed, KneeFactor, MinAchievedRatio,
-	// and Collector mirror SweepOptions on the virtual clock.
-	Rates            []float64
-	RequestsPerStep  int
-	Arrival          Arrival
-	Seed             uint64
-	KneeFactor       float64
-	MinAchievedRatio float64
-	Collector        *Collector
+	// Rates, RequestsPerStep, Arrival, Seed, and Collector mirror
+	// SweepOptions on the virtual clock.
+	Rates           []float64
+	RequestsPerStep int
+	Arrival         Arrival
+	Seed            uint64
+	Collector       *Collector
 }
 
-// VirtualStats aggregates the churn activity a virtual sweep generated.
+// Churn slowdowns slow a device by a factor drawn uniformly from
+// [2, churnSlowMax] for an exponential time with mean churnSlowSpan
+// churn intervals. Every device runs sim.DefaultProfile when nominal.
+const (
+	churnSlowMax  = 8
+	churnSlowSpan = 10
+)
+
+// VirtualStats summarizes a virtual sweep: its knee and churn activity.
 type VirtualStats struct {
+	// KneeQPS is the saturation knee DetectKnee found on the curve.
+	KneeQPS float64
 	// ChurnEvents counts all churn events; Outages the subset that took a
 	// device out entirely.
 	ChurnEvents, Outages int
@@ -95,18 +93,7 @@ func (o *VirtualOptions) validate() error {
 	if len(o.Rates) == 0 {
 		return fmt.Errorf("loadgen: virtual sweep needs at least one rate step")
 	}
-	p := o.profile()
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	return o.Replay.Validate()
-}
-
-func (o *VirtualOptions) profile() sim.DeviceProfile {
-	if o.Profile == (sim.DeviceProfile{}) {
-		return sim.DefaultProfile()
-	}
-	return o.Profile
 }
 
 // rowsOn returns device j's coded row count under either layout.
@@ -117,32 +104,10 @@ func (o *VirtualOptions) rowsOn(j int) int {
 	return o.RowsPerDevice
 }
 
-// deviceState is one virtual device's current perturbation.
-type deviceState struct {
-	// slowUntil bounds the straggler window; slowFactor applies within it.
-	slowUntil  time.Duration
-	slowFactor float64
-	// outageUntil is when the device's replacement finishes re-provisioning;
-	// rounds starting before it wait for it.
-	outageUntil time.Duration
-	// replayFactor is the recorded timeline's current factor (≤ 1 nominal);
-	// it composes multiplicatively with an active churn slowdown.
-	replayFactor float64
-}
-
-// serverHeap is a min-heap of server (round-slot) free times.
-type serverHeap []time.Duration
-
-func (h serverHeap) Len() int           { return len(h) }
-func (h serverHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h serverHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *serverHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *serverHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
 // VirtualSweep runs the stepped sweep on the virtual clock and returns the
-// per-step curve (Saturated flags set by DetectKnee) plus churn statistics.
-// Runs are deterministic in the options: the same seed yields the same
-// curve, bit for bit, at any fleet size.
+// per-step curve (Saturated flags set by DetectKnee) plus the knee and
+// churn statistics. Runs are deterministic in the options: the same seed
+// yields the same curve, bit for bit, at any fleet size.
 func VirtualSweep(o VirtualOptions) ([]StepResult, VirtualStats, error) {
 	if err := o.validate(); err != nil {
 		return nil, VirtualStats{}, err
@@ -159,11 +124,14 @@ func VirtualSweep(o VirtualOptions) ([]StepResult, VirtualStats, error) {
 		steps = append(steps, step)
 		o.Collector.stepDone(step)
 	}
-	DetectKnee(steps, o.KneeFactor, o.MinAchievedRatio)
+	stats.KneeQPS = DetectKnee(steps, 0, 0)
 	return steps, stats, nil
 }
 
-// runStep simulates one offered-load step.
+// runStep simulates one offered-load step: its arrivals run through the
+// sim.FCFS kernel, and each round is priced on a fresh sim.Timeline that
+// follows the replay and receives churn lazily, from the step's own churn
+// stream, as round starts pass the next churn instant.
 func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, stats *VirtualStats) StepResult {
 	requests := o.RequestsPerStep
 	if requests <= 0 {
@@ -173,69 +141,32 @@ func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, sta
 	if concurrency <= 0 {
 		concurrency = 16
 	}
-	base := o.profile()
-	rng := rand.New(rand.NewPCG(seed, 0x71a7c10c))
-	churnRNG := rand.New(rand.NewPCG(seed, 0xc402a))
-
-	states := make([]deviceState, o.Devices)
-	servers := make(serverHeap, concurrency)
-	heap.Init(&servers)
-
-	// nominals holds each device's unperturbed round time (they differ only
-	// under a DeviceRows layout); nominal is the slowest of them, the healthy
-	// round bound, so pricing a round over thousands of devices remains a
-	// cheap scan with repricing only for the perturbed few.
-	// reprovisions price an outage per device: the replacement receives that
-	// device's coded block over its uplink before it can serve.
-	nominals := make([]time.Duration, o.Devices)
-	reprovisions := make([]time.Duration, o.Devices)
-	var nominal time.Duration
-	for j := range nominals {
-		rows := o.rowsOn(j)
-		nominals[j] = sim.DeviceRoundTime(rows, o.Cols, 1, base)
-		reprovisions[j] = base.Latency + time.Duration(float64(rows*o.Cols)/base.UplinkRate*float64(time.Second))
-		if nominals[j] > nominal {
-			nominal = nominals[j]
-		}
-	}
 	outageFrac := o.OutageFrac
 	if outageFrac <= 0 {
 		outageFrac = 0.25
 	}
-	slowMax := o.SlowFactorMax
-	if slowMax < 2 {
-		slowMax = 8
-	}
-	slowMean := o.SlowDuration
-	if slowMean <= 0 {
-		slowMean = 10 * o.ChurnEvery
-	}
+	base := sim.DefaultProfile()
+	rng := rand.New(rand.NewPCG(seed, 0x71a7c10c))
+	churnRNG := rand.New(rand.NewPCG(seed, 0xc402a))
 
-	// replayAdvance walks each recorded timeline's cursor up to the virtual
-	// clock; round starts are nondecreasing, so cursors only move forward.
-	var cursors []int
-	if o.Replay != nil {
-		cursors = make([]int, len(o.Replay.Devices))
+	// nominal is the slowest unperturbed device's round time (devices differ
+	// only under a DeviceRows layout): the healthy round bound, so pricing a
+	// round over thousands of devices reprices only the perturbed few.
+	var nominal time.Duration
+	for j := 0; j < o.Devices; j++ {
+		nominal = max(nominal, sim.DeviceRoundTime(o.rowsOn(j), o.Cols, 1, base))
 	}
-	replayAdvance := func(now time.Duration) {
-		if o.Replay == nil {
-			return
-		}
-		for j, steps := range o.Replay.Devices {
-			if j >= len(states) {
-				break
-			}
-			for cursors[j] < len(steps) && steps[cursors[j]].At <= now {
-				states[j].replayFactor = steps[cursors[j]].Factor
-				cursors[j]++
-			}
-		}
+	tl := &sim.Timeline{}
+	if o.Replay != nil {
+		tl.Devices = o.Replay.Devices
 	}
 
 	nextChurn := time.Duration(-1)
 	if o.ChurnEvery > 0 {
 		nextChurn = time.Duration(churnRNG.ExpFloat64() * float64(o.ChurnEvery))
 	}
+	// churn writes every churn event due by now: a slowdown, or an outage
+	// that lasts until the replacement device receives the coded block.
 	churn := func(now time.Duration) {
 		for nextChurn >= 0 && nextChurn <= now {
 			at := nextChurn
@@ -243,71 +174,36 @@ func (o *VirtualOptions) runStep(rate float64, arrival Arrival, seed uint64, sta
 			stats.ChurnEvents++
 			if churnRNG.Float64() < outageFrac {
 				stats.Outages++
-				if end := at + reprovisions[j]; end > states[j].outageUntil {
-					states[j].outageUntil = end
-				}
+				tl.Down(j, at, at+sim.PushTime(o.rowsOn(j), o.Cols, base))
 			} else {
-				states[j].slowFactor = 2 + churnRNG.Float64()*(slowMax-2)
-				states[j].slowUntil = at + time.Duration(churnRNG.ExpFloat64()*float64(slowMean))
+				factor := 2 + churnRNG.Float64()*(churnSlowMax-2)
+				span := time.Duration(churnRNG.ExpFloat64() * float64(churnSlowSpan*o.ChurnEvery))
+				tl.Slow(j, at, at+span, factor)
 			}
 			nextChurn = at + time.Duration(churnRNG.ExpFloat64()*float64(o.ChurnEvery))
 		}
 	}
 
-	// service prices one round starting at virtual time t: the slowest
-	// device's contribution given its state at t.
-	service := func(t time.Duration) time.Duration {
+	arrivals := make([]time.Duration, requests)
+	for i := 1; i < requests; i++ {
+		arrivals[i] = arrivals[i-1] + arrival.Gap(rng, rate)
+	}
+	rec := NewRecorder()
+	var lastFinish time.Duration
+	// A round lasts as long as its slowest device.
+	sim.FCFS(concurrency, arrivals, func(start time.Duration) time.Duration {
+		churn(start)
 		worst := nominal
-		for j := range states {
-			st := &states[j]
-			if st.outageUntil <= t && st.slowUntil <= t && st.replayFactor <= 1 {
-				continue
-			}
-			d := nominals[j]
-			factor := 1.0
-			if st.slowUntil > t && st.slowFactor > 1 {
-				factor = st.slowFactor
-			}
-			if st.replayFactor > 1 {
-				factor *= st.replayFactor
-			}
-			if factor > 1 {
-				p := base
-				p.StragglerFactor = base.StragglerFactor * factor
-				d = sim.DeviceRoundTime(o.rowsOn(j), o.Cols, 1, p)
-			}
-			if st.outageUntil > t {
-				d += st.outageUntil - t
-			}
-			if d > worst {
-				worst = d
+		for j := 0; j < o.Devices; j++ {
+			if tl.Perturbed(j) {
+				worst = max(worst, tl.RoundTime(j, o.rowsOn(j), o.Cols, base, start))
 			}
 		}
 		return worst
-	}
-
-	rec := NewRecorder()
-	var offset, lastFinish time.Duration
-	for i := 0; i < requests; i++ {
-		if i > 0 {
-			offset += arrival.Gap(rng, rate)
-		}
-		arrivalAt := offset
-		free := heap.Pop(&servers).(time.Duration)
-		start := arrivalAt
-		if free > start {
-			start = free
-		}
-		churn(start)
-		replayAdvance(start)
-		svc := service(start)
-		finish := start + svc
-		heap.Push(&servers, finish)
-		rec.Record(finish - arrivalAt)
-		if finish > lastFinish {
-			lastFinish = finish
-		}
-	}
+	}, func(arrive, finish time.Duration) {
+		rec.Record(finish - arrive)
+		lastFinish = max(lastFinish, finish)
+	})
 
 	res := Result{
 		Offered:  rate,

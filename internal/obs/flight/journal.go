@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/trace"
@@ -169,8 +170,8 @@ type Event struct {
 	// Seq - capacity tells a reader exactly how much history wrapped away.
 	Seq uint64 `json:"seq"`
 	// At is the event timestamp in nanoseconds on the journal's clock
-	// (Unix nanos on the wall clock; offset-from-zero nanos on a virtual
-	// clock whose base is the epoch).
+	// (Unix nanos on the default millisecond-resolution wall clock;
+	// offset-from-zero nanos on a virtual clock whose base is the epoch).
 	At int64 `json:"at_ns"`
 	// Kind classifies the event.
 	Kind Kind `json:"kind"`
@@ -200,9 +201,9 @@ const DefaultCapacity = 8192
 type Options struct {
 	// Capacity is the ring size; DefaultCapacity when zero or negative.
 	Capacity int
-	// Clock stamps events; trace.WallClock() when nil. Simulations pass the
-	// same *trace.VirtualClock that stamps their spans, so journal and trace
-	// timelines align.
+	// Clock stamps events; a millisecond-resolution wall clock (see
+	// coarseClock) when nil. Simulations pass the same *trace.VirtualClock
+	// that stamps their spans, so journal and trace timelines align.
 	Clock trace.Clock
 	// Metrics receives the per-kind scec_flight_events_total counters; nil
 	// disables them (the Default journal uses obs.Default()).
@@ -225,9 +226,61 @@ func New(o Options) *Journal {
 		o.Capacity = DefaultCapacity
 	}
 	if o.Clock == nil {
-		o.Clock = trace.WallClock()
+		o.Clock = &coarse
 	}
 	return &Journal{clock: o.Clock, slots: make([]slot, o.Capacity), reg: o.Metrics}
+}
+
+// coarseClock is the journal's default clock: wall-clock Unix nanoseconds
+// cached in an atomic and refreshed every coarseTick by a ticker goroutine.
+// A system clock read costs 90–150ns on a small VM, more than the whole
+// publish budget, while journal events need only millisecond stamps (Seq is
+// the ordering key). The ticker runs only while the clock is read: it stops
+// after coarseIdleTicks ticks without a read, and the next read restarts it.
+type coarseClock struct {
+	nanos   atomic.Int64
+	read    atomic.Bool // set by readers, cleared by every tick
+	running atomic.Bool
+}
+
+const (
+	coarseTick      = time.Millisecond
+	coarseIdleTicks = 1000
+)
+
+var coarse coarseClock
+
+// Now implements trace.Clock.
+func (c *coarseClock) Now() time.Time {
+	if !c.running.Load() {
+		c.start()
+	}
+	if !c.read.Load() {
+		c.read.Store(true)
+	}
+	return time.Unix(0, c.nanos.Load())
+}
+
+func (c *coarseClock) start() {
+	c.nanos.Store(time.Now().UnixNano())
+	if c.running.CompareAndSwap(false, true) {
+		go c.refresh()
+	}
+}
+
+func (c *coarseClock) refresh() {
+	t := time.NewTicker(coarseTick)
+	defer t.Stop()
+	for idle := 0; idle < coarseIdleTicks; {
+		now := <-t.C
+		c.nanos.Store(now.UnixNano())
+		if c.read.Swap(false) {
+			idle = 0
+		} else {
+			idle++
+		}
+	}
+	c.running.Store(false)
 }
 
 var std = New(Options{Metrics: obs.Default()})

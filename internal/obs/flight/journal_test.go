@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +163,27 @@ func TestVirtualClockOrdering(t *testing.T) {
 	cnt := j.CountSince(KindShed, base.Add(100*time.Millisecond).UnixNano())
 	if cnt != 1 {
 		t.Fatalf("CountSince(shed, +100ms) = %d, want 1", cnt)
+	}
+}
+
+// TestDefaultClockIsCoarseWallClock pins the default clock: stamps track
+// the wall clock to within a few ticks and advance while events flow.
+func TestDefaultClockIsCoarseWallClock(t *testing.T) {
+	j := New(Options{Capacity: 4})
+	before := time.Now().UnixNano()
+	j.Publish(KindRetry, "", 0, 0)
+	first := j.Snapshot()[0].At
+	// Generous slack: the ticker may be descheduled on a loaded machine.
+	const slack = int64(250 * time.Millisecond)
+	if first < before-slack || first > time.Now().UnixNano()+slack {
+		t.Fatalf("default stamp %d is not near the wall clock (published at ~%d)", first, before)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for j.Now() <= first {
+		if time.Now().After(deadline) {
+			t.Fatal("default clock never advanced")
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -265,6 +265,14 @@ func DeviceRoundTime(rows, l, n int, p DeviceProfile) time.Duration {
 	return d.ResultArrives
 }
 
+// PushTime prices provisioning one coded block of rows×cols values onto a
+// device: the cloud→device transfer over its uplink, the direction x
+// travels too. The store stage, the virtual sweep's re-provisioning after
+// an outage, and the recovery study's migrations all charge it.
+func PushTime(rows, cols int, p DeviceProfile) time.Duration {
+	return p.Latency + seconds(float64(rows*cols)/p.UplinkRate)
+}
+
 // deviceTimeline prices one device's share of a width-n round on the
 // virtual clock: rows·l·n multiplications plus rows·(l−1)·n additions,
 // l·n values up, rows·n values down (n = 1 is the vector query).
@@ -300,9 +308,7 @@ func gatherCore[E comparable](ctx context.Context, enc *coding.Encoding[E], l, n
 
 		// Provisioning: the coded block travels cloud→device over the same
 		// uplink direction x does; the slowest push bounds the store stage.
-		if push := p.Latency + seconds(float64(rows*l)/p.UplinkRate); push > rep.StoreTime {
-			rep.StoreTime = push
-		}
+		rep.StoreTime = max(rep.StoreTime, PushTime(rows, l, p))
 		d.Failed = rng.Float64() < p.FailProb
 
 		rep.Devices[j] = d

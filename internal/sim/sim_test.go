@@ -211,3 +211,19 @@ func TestProfileValidate(t *testing.T) {
 		}
 	}
 }
+
+func TestPushTimeMatchesStoreTime(t *testing.T) {
+	f, enc, _, x := setup(t)
+	cfg := uniformConfig(len(enc.Blocks))
+	slowLink := DefaultProfile()
+	slowLink.UplinkRate = 1e3 // device 1's push now bounds the store stage
+	cfg.Profiles[1] = slowLink
+	_, rep, err := Run(f, enc, x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PushTime(enc.Blocks[1].Rows(), len(x), slowLink)
+	if rep.StoreTime != want {
+		t.Fatalf("StoreTime = %v, PushTime = %v", rep.StoreTime, want)
+	}
+}
