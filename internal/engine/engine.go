@@ -80,9 +80,10 @@ type Query[E comparable] struct {
 	reg  *obs.Registry
 	trc  *trace.Tracer
 
-	vec *obs.Counter
-	mat *obs.Counter
-	co  *coalescer[E]
+	vec    *obs.Counter
+	mat    *obs.Counter
+	decode obs.Stage
+	co     *coalescer[E]
 
 	closeOnce sync.Once
 	closeErr  error
@@ -113,6 +114,7 @@ func New[E comparable](f field.Field[E], enc *coding.Encoding[E], exec Executor[
 		vec:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "vec")),
 		mat:  reg.Counter(obs.MetricEngineDispatchTotal, dispatchHelp, backend, obs.L("kind", "mat")),
 	}
+	q.decode = reg.Stage(obs.StageDecode)
 	if opts.CoalesceWindow > 0 {
 		max := opts.CoalesceMaxBatch
 		if max <= 0 {
@@ -242,7 +244,7 @@ func (q *Query[E]) mulVecDirect(ctx context.Context, x []E) ([]E, error) {
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
-	defer obs.StartStage(q.reg, obs.StageDecode).End()
+	defer q.decode.Start().End()
 	return r.code.Decode(y)
 }
 
@@ -261,7 +263,7 @@ func (q *Query[E]) mulMatDirect(ctx context.Context, x *matrix.Dense[E]) (*matri
 	}
 	_, dsp := q.startSpan(ctx, trace.SpanDecode)
 	defer dsp.End()
-	defer obs.StartStage(q.reg, obs.StageDecode).End()
+	defer q.decode.Start().End()
 	return r.code.DecodeBatch(y)
 }
 

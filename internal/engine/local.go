@@ -15,15 +15,15 @@ import (
 // ComputeAllBatch). It is the zero-infrastructure backend and the engine's
 // default.
 type LocalExecutor[E comparable] struct {
-	f   field.Field[E]
-	enc *coding.Encoding[E]
-	reg *obs.Registry
+	f       field.Field[E]
+	enc     *coding.Encoding[E]
+	compute obs.Stage
 }
 
 // NewLocal builds a local executor over an encoding. A nil registry records
 // stage timings into obs.Default().
 func NewLocal[E comparable](f field.Field[E], enc *coding.Encoding[E], reg *obs.Registry) *LocalExecutor[E] {
-	return &LocalExecutor[E]{f: f, enc: enc, reg: reg}
+	return &LocalExecutor[E]{f: f, enc: enc, compute: reg.Stage(obs.StageCompute)}
 }
 
 // LocalBackend returns the Backend factory for the local executor,
@@ -45,7 +45,7 @@ func (e *LocalExecutor[E]) Compute(ctx context.Context, x []E) ([]E, error) {
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "vec"))
 	defer csp.End()
-	defer obs.StartStage(e.reg, obs.StageCompute).End()
+	defer e.compute.Start().End()
 	return e.enc.ComputeAll(e.f, x), nil
 }
 
@@ -58,7 +58,7 @@ func (e *LocalExecutor[E]) ComputeBatch(ctx context.Context, x *matrix.Dense[E])
 	}
 	_, csp := traceSpan(ctx, trace.SpanDeviceCompute, trace.A(trace.AttrKind, "mat"))
 	defer csp.End()
-	defer obs.StartStage(e.reg, obs.StageCompute).End()
+	defer e.compute.Start().End()
 	return e.enc.ComputeAllBatch(e.f, x), nil
 }
 

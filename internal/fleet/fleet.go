@@ -314,6 +314,7 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 		s.cancel()
 		return nil, err
 	}
+	s.met.initServed(reg, len(s.blocks))
 	if cfg.ProbeInterval > 0 {
 		s.wg.Add(1)
 		go s.probeLoop()

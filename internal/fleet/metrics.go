@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -20,9 +20,9 @@ const (
 // sessionMetrics caches the session's metric handles. Everything is
 // registered eagerly at Serve time so a scrape of a freshly provisioned
 // fleet already shows every fleet series at zero — an operator can alert on
-// the counters existing, not just on them moving.
+// the counters existing, not just on them moving — and so a query records
+// without a single registry lookup.
 type sessionMetrics struct {
-	reg         *obs.Registry
 	hedges      *obs.Counter
 	retries     *obs.Counter
 	queriesVec  *obs.Counter
@@ -31,10 +31,17 @@ type sessionMetrics struct {
 	qErrorsMat  *obs.Counter
 	repairsOK   *obs.Counter
 	repairsFail *obs.Counter
+
+	// Query-path handles, resolved by initServed once the fleet is
+	// provisioned: the gather and decode stages, and each logical block's
+	// winner-latency histogram (indexed by block; the label set is bounded
+	// by the scheme's device count).
+	gather  obs.Stage
+	decode  obs.Stage
+	winners []*obs.Histogram
 }
 
 func (m *sessionMetrics) init(reg *obs.Registry) {
-	m.reg = reg
 	m.hedges = reg.Counter(obs.MetricFleetHedgesTotal,
 		"Speculative (hedged) replica requests launched after the hedge delay elapsed with no verdict.")
 	m.retries = reg.Counter(obs.MetricFleetRetriesTotal,
@@ -74,21 +81,33 @@ func (m *sessionMetrics) repairs(outcome string) *obs.Counter {
 	return m.repairsOK
 }
 
-// winner returns the per-block winner-latency histogram. The label set is
-// bounded by the scheme's device count.
-func (m *sessionMetrics) winner(block int) *obs.Histogram {
-	return m.reg.Histogram(obs.MetricFleetBlockWinnerSeconds,
-		"Latency of the winning replica attempt per served block fetch, by block index.",
-		obs.DefLatencyBuckets, obs.L("block", strconv.Itoa(block)))
+// initServed resolves the query-path handles of a session serving blocks
+// logical blocks.
+func (m *sessionMetrics) initServed(reg *obs.Registry, blocks int) {
+	m.gather = reg.Stage(obs.StageGather)
+	m.decode = reg.Stage(obs.StageDecode)
+	m.winners = make([]*obs.Histogram, blocks)
+	for j := range m.winners {
+		m.winners[j] = reg.Histogram(obs.MetricFleetBlockWinnerSeconds,
+			"Latency of the winning replica attempt per served block fetch, by block index.",
+			obs.DefLatencyBuckets, obs.L("block", strconv.Itoa(j)))
+	}
 }
 
 // latencyRing keeps the last winner latencies for the adaptive hedge delay.
+// Alongside the ring (insertion order, for eviction) it keeps the same
+// samples sorted, updated incrementally on observe, so a percentile read is
+// one index and neither path allocates.
 type latencyRing struct {
-	mu   sync.Mutex
-	buf  [64]time.Duration
-	n    int // filled entries
-	next int // write cursor
+	mu     sync.Mutex
+	buf    [ringSize]time.Duration // insertion order
+	sorted [ringSize]time.Duration // sorted[:n] ascending
+	n      int                     // filled entries
+	next   int                     // write cursor
 }
+
+// ringSize is how many recent winner latencies the hedge delay reads.
+const ringSize = 64
 
 // minAdaptiveSamples gates the adaptive hedge delay: below this, hedging
 // falls back to DefaultHedgeAfter instead of trusting a tiny sample.
@@ -98,26 +117,30 @@ func newLatencyRing() *latencyRing { return &latencyRing{} }
 
 func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+	n := r.n
+	if n == ringSize {
+		// Evict the sample d overwrites: any equal value serves.
+		i, _ := slices.BinarySearch(r.sorted[:n], r.buf[r.next])
+		copy(r.sorted[i:n-1], r.sorted[i+1:n])
+		n--
 	}
+	i, _ := slices.BinarySearch(r.sorted[:n], d)
+	copy(r.sorted[i+1:n+1], r.sorted[i:n])
+	r.sorted[i] = d
+	r.n = n + 1
+	r.buf[r.next] = d
+	r.next = (r.next + 1) % ringSize
 	r.mu.Unlock()
 }
 
-// percentile returns the p-quantile of the retained latencies; ok is false
-// until minAdaptiveSamples observations accumulated.
+// percentile returns the p-quantile of the retained latencies — the
+// sample at rank int(p·(n-1)) in ascending order; ok is false until
+// minAdaptiveSamples observations accumulated.
 func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
 	r.mu.Lock()
-	n := r.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.buf[:n])
-	r.mu.Unlock()
-	if n < minAdaptiveSamples {
+	defer r.mu.Unlock()
+	if r.n < minAdaptiveSamples {
 		return 0, false
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(p * float64(n-1))
-	return tmp[i], true
+	return r.sorted[int(p*float64(r.n-1))], true
 }

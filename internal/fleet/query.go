@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/scec/scec/internal/matrix"
-	"github.com/scec/scec/internal/obs"
 	"github.com/scec/scec/internal/obs/flight"
 	"github.com/scec/scec/internal/obs/trace"
 )
@@ -43,7 +42,7 @@ func (s *Session[E]) MulVecContext(ctx context.Context, x []E) ([]E, error) {
 	}
 	_, dsp := s.startSpan(ctx, trace.SpanDecode, trace.A(trace.AttrKind, kindVec))
 	defer dsp.End()
-	defer obs.StartStage(s.reg, obs.StageDecode).End()
+	defer s.met.decode.Start().End()
 	return s.code.Decode(y)
 }
 
@@ -62,7 +61,7 @@ func (s *Session[E]) MulMatContext(ctx context.Context, x *matrix.Dense[E]) (*ma
 	}
 	_, dsp := s.startSpan(ctx, trace.SpanDecode, trace.A(trace.AttrKind, kindMat))
 	defer dsp.End()
-	defer obs.StartStage(s.reg, obs.StageDecode).End()
+	defer s.met.decode.Start().End()
 	return s.code.DecodeBatch(y)
 }
 
@@ -89,7 +88,7 @@ func (s *Session[E]) GatherContext(ctx context.Context, x []E) ([]E, error) {
 		trace.A(trace.AttrKind, kindVec), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 
-	gather := obs.StartStage(s.reg, obs.StageGather)
+	gather := s.met.gather.Start()
 	parts := make([][]E, len(s.blocks))
 	errs := make([]error, len(s.blocks))
 	var wg sync.WaitGroup
@@ -144,7 +143,7 @@ func (s *Session[E]) GatherBatchContext(ctx context.Context, x *matrix.Dense[E])
 		trace.A(trace.AttrKind, kindMat), trace.A("blocks", strconv.Itoa(len(s.blocks))))
 	defer gsp.End()
 
-	gather := obs.StartStage(s.reg, obs.StageGather)
+	gather := s.met.gather.Start()
 	parts := make([]*matrix.Dense[E], len(s.blocks))
 	errs := make([]error, len(s.blocks))
 	var wg sync.WaitGroup
@@ -323,7 +322,7 @@ func raceReplicas[E comparable, T any](s *Session[E], ctx context.Context, b *bl
 				// The winner histogram keeps the trace ID + device as its
 				// bucket exemplar, so a tail bucket on /metrics.json links
 				// straight to /debug/traces/{id}.
-				s.met.winner(b.index).ObserveDurationExemplar(d, traceIDOf(bsp), r.d.addr)
+				s.met.winners[b.index].ObserveDurationExemplar(d, traceIDOf(bsp), r.d.addr)
 				if s.cfg.OnWin != nil {
 					s.cfg.OnWin(r.d.addr, b.index, d)
 				}

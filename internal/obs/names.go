@@ -203,34 +203,61 @@ var Stages = []string{StageAllocate, StageEncode, StageStore, StageCompute, Stag
 // stageHelp documents the stage histogram family.
 const stageHelp = "Pipeline stage duration in seconds (wall clock for real runs, virtual clock for simulated runs)."
 
-// ObserveStage records one stage duration (histogram + last-value gauge).
-// A nil registry records into Default().
-func ObserveStage(r *Registry, stage string, d time.Duration) {
+// Stage is one pipeline stage's resolved series: its duration histogram and
+// last-value gauge. Served-path components resolve it once, at
+// construction, with Registry.Stage; Observe and Start then touch no
+// registry lock and allocate nothing.
+type Stage struct {
+	hist *Histogram
+	last *Gauge
+}
+
+// Stage resolves the handle of one pipeline stage, minting its series on
+// first call. A nil registry resolves against Default().
+func (r *Registry) Stage(stage string) Stage {
 	if r == nil {
 		r = Default()
 	}
 	l := L("stage", stage)
-	r.Histogram(MetricStageSeconds, stageHelp, DefLatencyBuckets, l).ObserveDuration(d)
-	r.Gauge(MetricStageLastSeconds, "Most recent duration of each pipeline stage in seconds.", l).Set(d.Seconds())
+	return Stage{
+		hist: r.Histogram(MetricStageSeconds, stageHelp, DefLatencyBuckets, l),
+		last: r.Gauge(MetricStageLastSeconds, "Most recent duration of each pipeline stage in seconds.", l),
+	}
 }
 
-// Span is an in-flight stage timing started by StartStage.
+// Observe records one stage duration (histogram + last-value gauge).
+func (s Stage) Observe(d time.Duration) {
+	s.hist.ObserveDuration(d)
+	s.last.Set(d.Seconds())
+}
+
+// Start starts timing the stage against the wall clock.
+func (s Stage) Start() Span { return Span{stage: s, start: time.Now()} }
+
+// ObserveStage resolves the stage and records one duration. It looks the
+// series up on every call, so it is for cold paths (simulation,
+// provisioning, repair); hot paths hold a Stage. A nil registry records
+// into Default().
+func ObserveStage(r *Registry, stage string, d time.Duration) {
+	r.Stage(stage).Observe(d)
+}
+
+// Span is an in-flight stage timing started by Stage.Start or StartStage.
 type Span struct {
-	reg   *Registry
-	stage string
+	stage Stage
 	start time.Time
 }
 
-// StartStage starts timing a pipeline stage against the wall clock. A nil
-// registry records into Default().
+// StartStage resolves the stage and starts timing it — the cold-path
+// counterpart of Stage.Start. A nil registry records into Default().
 func StartStage(r *Registry, stage string) Span {
-	return Span{reg: r, stage: stage, start: time.Now()}
+	return r.Stage(stage).Start()
 }
 
 // End records the elapsed time and returns it.
 func (s Span) End() time.Duration {
 	d := time.Since(s.start)
-	ObserveStage(s.reg, s.stage, d)
+	s.stage.Observe(d)
 	return d
 }
 

@@ -5,9 +5,13 @@
 // bundle (/metrics, /healthz, /debug/pprof/*, /debug/vars).
 //
 // The repo is deliberately dependency-free, so everything here is standard
-// library only. All metric updates are lock-free atomics; registration
-// (get-or-create of a named series) takes a mutex but callers cache the
-// returned handle, so hot paths never contend.
+// library only. All metric updates are lock-free atomics. A lookup
+// (Counter, Gauge, Histogram, Stage: get-or-create of a named series) takes
+// the registry and family mutexes and renders a label key, so the served
+// query path never looks anything up: each component resolves its handles
+// once — at construction, or on first use of a bounded label value — and
+// records through them. ObserveStage and StartStage look up on every call
+// and are for cold paths only.
 //
 // Real runs (internal/transport) and simulated runs (internal/sim) record
 // the same metric names — see names.go — so a Prometheus scrape of a live

@@ -32,6 +32,12 @@ type Pool[E comparable] struct {
 
 	mu      sync.Mutex
 	entries map[string]*poolEntry[E]
+
+	// rpc caches the client-side RPC handle table of each registry the
+	// pool's round trips record into (*obs.Registry → *rpcMetrics). Client
+	// and Cloud values sharing one pool may record into different
+	// registries; the cache lives and dies with the pool.
+	rpc sync.Map
 }
 
 // NewPool returns an empty pool with default tuning.
@@ -165,13 +171,15 @@ func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Durat
 		timeout = DefaultTimeout
 	}
 	reg = metricsOrDefault(reg)
-	var finish func(*response[E], error)
-	ctx, finish = startClientSpan(ctx, addr, req)
-	defer func() { finish(resp, err) }()
+	rpc := p.clientMetrics(reg)
+	ctx, finish := startClientSpan(ctx, addr, req)
+	if finish != nil {
+		defer func() { finish(resp, err) }()
+	}
 	start := time.Now()
 	var sent, recv int64
 	defer func() {
-		recordClient(reg, opToKind(req.op), time.Since(start), sent, recv, err)
+		rpc.record(opToKind(req.op), time.Since(start), sent, recv, err != nil)
 	}()
 	for attempt := 0; ; attempt++ {
 		m, fresh, gerr := p.getMux(ctx, addr, timeout, reg)
@@ -188,6 +196,15 @@ func (p *Pool[E]) roundTrip(ctx context.Context, addr string, timeout time.Durat
 		}
 		return r, derr
 	}
+}
+
+// clientMetrics returns the pool's client-side RPC handle table for reg.
+func (p *Pool[E]) clientMetrics(reg *obs.Registry) *rpcMetrics {
+	if m, ok := p.rpc.Load(reg); ok {
+		return m.(*rpcMetrics)
+	}
+	m, _ := p.rpc.LoadOrStore(reg, newRPCMetrics(reg, &clientRPC))
+	return m.(*rpcMetrics)
 }
 
 // getMux returns the live multiplexed connection for addr, negotiating a
@@ -484,15 +501,16 @@ func (m *muxConn[E]) heartbeatLoop(every time.Duration) {
 // startClientSpan opens the rpc.client span when the caller is tracing,
 // injecting its traceparent into the request. The returned finish must be
 // called exactly once with the outcome; it adopts the device's re-emitted
-// spans into this trace.
+// spans into this trace. An untraced call gets a nil finish: nothing to
+// call, and no closure allocated per round trip.
 func startClientSpan[E comparable](ctx context.Context, addr string, req *request[E]) (context.Context, func(*response[E], error)) {
 	parent := trace.SpanFromContext(ctx)
 	if parent == nil {
-		return ctx, func(*response[E], error) {}
+		return ctx, nil
 	}
 	tracer := parent.Tracer()
 	ctx, rsp := tracer.StartSpan(ctx, trace.SpanRPCClient,
-		trace.A(trace.AttrKind, opToKind(req.op)), trace.A(trace.AttrDevice, addr))
+		trace.A(trace.AttrKind, opToKind(req.op).String()), trace.A(trace.AttrDevice, addr))
 	req.tp = rsp.Traceparent()
 	return ctx, func(resp *response[E], err error) {
 		if err != nil {

@@ -31,7 +31,7 @@ const (
 func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Reader) {
 	code, err := readClientHello(br)
 	if err != nil {
-		recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+		s.rpc.record(kindMalformed, 0, cc.read, cc.written, true)
 		return
 	}
 	cod, ok := codecFor[E]()
@@ -39,7 +39,7 @@ func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Rea
 	if !ok || code != cod.code {
 		h := serverHello(cod.code, helloRejectElem)
 		_, _ = conn.Write(h[:])
-		recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+		s.rpc.record(kindMalformed, 0, cc.read, cc.written, true)
 		return
 	}
 	h := serverHello(cod.code, helloOK)
@@ -66,7 +66,7 @@ func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Rea
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) && !peerClosed(err) {
 				// Broken framing mid-stream: count it, drop the connection.
-				recordServer(s.metrics, "malformed", 0, cc.read, cc.written, true)
+				s.rpc.record(kindMalformed, 0, cc.read, cc.written, true)
 			}
 			return
 		}
@@ -84,7 +84,7 @@ func (s *DeviceServer[E]) serveV3(conn net.Conn, cc *countingConn, br *bufio.Rea
 func (s *DeviceServer[E]) handleWire(w *wireWriter, cod elemCodec, req *request[E]) {
 	start := time.Now()
 	kind := opToKind(req.op)
-	ctx, bag, sp := s.startServerSpan(kind, req.tp)
+	ctx, bag, sp := s.startServerSpan(kind.String(), req.tp)
 	var (
 		errMsg string
 		y      []E
@@ -116,7 +116,7 @@ func (s *DeviceServer[E]) handleWire(w *wireWriter, cod elemCodec, req *request[
 		spans = encodeSpans(bag.spans)
 	}
 	written, _ := writeResponseFrame(w, cod, req.stream, req.op, errMsg, y, yMat, spans)
-	recordServer(s.metrics, kind, time.Since(start), req.size, written, errored)
+	s.rpc.record(kind, time.Since(start), req.size, written, errored)
 }
 
 // writeResponseFrame appends one response frame:

@@ -34,13 +34,24 @@ import (
 	"github.com/scec/scec/internal/obs/trace"
 )
 
-// Request kinds: the metric and span label of each frame op.
+// rpcKind is a request's kind: the metric and span label of its frame op,
+// plus kindMalformed for traffic that never decoded. Kinds index the
+// per-kind RPC handle tables (metrics.go).
+type rpcKind uint8
+
 const (
-	kindStore        = "store"
-	kindCompute      = "compute"
-	kindComputeBatch = "compute-batch"
-	kindPing         = "ping"
+	kindPing rpcKind = iota
+	kindStore
+	kindCompute
+	kindComputeBatch
+	kindUnknown
+	kindMalformed
+	numKinds
 )
+
+var kindNames = [numKinds]string{"ping", "store", "compute", "compute-batch", "unknown", "malformed"}
+
+func (k rpcKind) String() string { return kindNames[k] }
 
 // DefaultTimeout bounds every network round trip.
 const DefaultTimeout = 10 * time.Second
@@ -67,7 +78,11 @@ type DeviceServer[E comparable] struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// Telemetry for the persistent-connection machinery.
+	// Telemetry handles, resolved once so that serving a request looks
+	// nothing up: the per-kind RPC table, the compute stage, and the
+	// persistent-connection machinery.
+	rpc         *rpcMetrics
+	compute     obs.Stage
 	flushHist   *obs.Histogram
 	connsOpen   *obs.Gauge
 	streamsOpen *obs.Gauge
@@ -159,6 +174,8 @@ func NewDeviceServerOptions[E comparable](f field.Field[E], addr string, opts Op
 	s.flushHist = s.metrics.Histogram(obs.MetricTransportFlushFrames, flushHelp, flushBuckets, role)
 	s.connsOpen = s.metrics.Gauge(obs.MetricTransportConnsOpen, connsHelp, role, obs.L("proto", "v3"), dev)
 	s.streamsOpen = s.metrics.Gauge(obs.MetricTransportStreamsInflight, streamsHelp, role, dev)
+	s.rpc = newRPCMetrics(s.metrics, &serverRPC)
+	s.compute = s.metrics.Stage(obs.StageCompute)
 	s.wg.Add(1)
 	go s.serve()
 	return s, nil
@@ -265,7 +282,7 @@ func (s *DeviceServer[E]) handleConn(conn net.Conn) {
 	// An idle peer cut by the deadline, an immediate close, or a first
 	// byte that cannot start a hello all count as malformed.
 	if first, err := br.Peek(1); err != nil || first[0] != v3Magic[0] {
-		recordServer(s.metrics, "malformed", time.Since(start), cc.read, cc.written, true)
+		s.rpc.record(kindMalformed, time.Since(start), cc.read, cc.written, true)
 		return
 	}
 	s.serveV3(conn, cc, br)
@@ -336,7 +353,7 @@ func (s *DeviceServer[E]) mulVec(ctx context.Context, bag *spanBag, x []E) ([]E,
 		return nil, fmt.Sprintf("compute: x has %d entries, coded rows have %d columns", len(x), block.Cols())
 	}
 	csp := s.startComputeSpan(ctx, bag, "vec")
-	sp := obs.StartStage(s.metrics, obs.StageCompute)
+	sp := s.compute.Start()
 	y := matrix.MulVec(s.f, block, x)
 	sp.End()
 	csp.End()
@@ -363,7 +380,7 @@ func (s *DeviceServer[E]) mulMat(ctx context.Context, bag *spanBag, x *matrix.De
 		return nil, "compute-batch: X has no columns"
 	}
 	csp := s.startComputeSpan(ctx, bag, "mat")
-	sp := obs.StartStage(s.metrics, obs.StageCompute)
+	sp := s.compute.Start()
 	y := matrix.Mul(s.f, block, x)
 	sp.End()
 	csp.End()

@@ -63,7 +63,7 @@ const maxFrameLen = 1<<31 - 1
 // connection when they were issued on a reused one.
 var errConnBroken = errors.New("transport: connection broken")
 
-func opToKind(op byte) string {
+func opToKind(op byte) rpcKind {
 	switch op &^ opResponseBit {
 	case opPing:
 		return kindPing
@@ -74,7 +74,7 @@ func opToKind(op byte) string {
 	case opComputeBatch:
 		return kindComputeBatch
 	}
-	return "unknown"
+	return kindUnknown
 }
 
 // elemCodec describes how one field-element type goes on the wire.
@@ -330,13 +330,15 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		return err
 	}
 	// slab validates total elements against the remaining payload and the
-	// device cap, then reads them zero-copy into a fresh slab.
-	slab := func(total uint64, capMsg string) ([]E, error) {
+	// device cap, then reads them zero-copy into a fresh slab. An over-cap
+	// request records the error text "<noun>: <capNoun> of N elements
+	// exceeds the device cap of C", formatted only when the cap is exceeded.
+	slab := func(total uint64, noun, capNoun string) ([]E, error) {
 		if total != uint64(body)/uint64(cod.size) || total*uint64(cod.size) != uint64(body) {
 			return nil, fmt.Errorf("transport: %d elements do not match %d payload bytes", total, body)
 		}
 		if total > uint64(maxElements) {
-			req.capErr = capMsg
+			req.capErr = fmt.Sprintf("%s: %s of %d elements exceeds the device cap of %d", noun, capNoun, total, maxElements)
 			return nil, drain()
 		}
 		dst := make([]E, total)
@@ -357,8 +359,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if err != nil {
 			return nil, err
 		}
-		n := uint64(dims[0])
-		x, err := slab(n, fmt.Sprintf("compute: x of %d elements exceeds the device cap of %d", n, maxElements))
+		x, err := slab(uint64(dims[0]), "compute", "x")
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +374,7 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 		if req.op == opComputeBatch {
 			noun, capNoun = "compute-batch", "X"
 		}
-		data, err := slab(rows*cols, fmt.Sprintf("%s: %s of %d elements exceeds the device cap of %d", noun, capNoun, rows*cols, maxElements))
+		data, err := slab(rows*cols, noun, capNoun)
 		if err != nil {
 			return nil, err
 		}
