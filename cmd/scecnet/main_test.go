@@ -21,6 +21,27 @@ func TestDemoEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDemoCollusionBatch runs the demo on the t-collusion tier with a batch
+// query, so both the vector and the batch decode of the collusion code run
+// through scec.Serve over real sockets.
+func TestDemoCollusionBatch(t *testing.T) {
+	var out strings.Builder
+	args := []string{"demo", "-m", "40", "-l", "8", "-k", "5", "-seed", "4", "-t", "2", "-batch", "2"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		" t=2,",
+		"verified all 40 entries",
+		"user decoded the batch A·X (2 columns) over TCP and verified it",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
 func TestDriveAgainstManagedFleet(t *testing.T) {
 	f := scec.PrimeField()
 	var addrs []string

@@ -45,7 +45,7 @@ func TestIntegrationDeployOverSimulator(t *testing.T) {
 }
 
 // TestIntegrationDeployOverTCP runs the public-API deployment through the
-// real TCP runtime end to end.
+// real TCP runtime end to end: scec.Serve with one device per coded block.
 func TestIntegrationDeployOverTCP(t *testing.T) {
 	f := scec.PrimeField()
 	rng := rand.New(rand.NewPCG(11, 17))
@@ -56,21 +56,22 @@ func TestIntegrationDeployOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addrs := make([]string, dep.Devices())
-	for j := range addrs {
+	cfg := scec.FleetConfig{Replicas: make([][]string, dep.Devices())}
+	for j := range cfg.Replicas {
 		srv, err := transport.NewDeviceServer[uint64](f, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		addrs[j] = srv.Addr()
+		cfg.Replicas[j] = []string{srv.Addr()}
 	}
-	if err := (transport.Cloud[uint64]{}).Distribute(t.Context(), addrs, dep.Encoding); err != nil {
+	s, err := scec.Serve(dep, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	client := transport.Client[uint64]{F: f, Code: dep.Code}
+	t.Cleanup(func() { _ = s.Close() })
 	x := scec.RandomVector(f, rng, 10)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := s.MulVec(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,11 @@
 //     target, the runtime re-pushes the block to a standby in the
 //     background. No re-encode is needed: replicas of the same block are
 //     security-equivalent by construction.
+//
+// The session gathers and the engine decodes: GatherContext and
+// GatherBatchContext are the session's only query entry points and return
+// the undecoded B·T·x in code device order; internal/engine.Query decodes
+// it with the paper's m subtractions.
 package fleet
 
 import (
@@ -96,7 +101,7 @@ type Config struct {
 	// Standbys lists warm standby devices: running, reachable, holding no
 	// block until self-repair promotes them into a degraded replica set.
 	Standbys []string
-	// QueryTimeout bounds one MulVec/MulMat end to end.
+	// QueryTimeout bounds one gather end to end.
 	QueryTimeout time.Duration
 	// RPCTimeout bounds each replica round trip (and each repair push).
 	RPCTimeout time.Duration
@@ -190,7 +195,6 @@ type blockState[E comparable] struct {
 
 // Session is a live fleet runtime serving queries for one deployment.
 type Session[E comparable] struct {
-	f     field.Field[E]
 	code  coding.Code[E]
 	cfg   Config
 	reg   *obs.Registry
@@ -269,12 +273,11 @@ func Serve[E comparable](f field.Field[E], enc *coding.Encoding[E], cfg Config) 
 	}
 
 	s := &Session[E]{
-		f:       f,
 		code:    code,
 		cfg:     cfg,
 		reg:     reg,
 		cols:    enc.Blocks[0].Cols(),
-		client:  transport.Client[E]{F: f, Code: code, Timeout: cfg.RPCTimeout, Metrics: reg},
+		client:  transport.Client[E]{F: f, Timeout: cfg.RPCTimeout, Metrics: reg},
 		probe:   transport.Client[E]{F: f, Timeout: cfg.ProbeTimeout, Metrics: reg},
 		cloud:   transport.Cloud[E]{Timeout: cfg.RPCTimeout, Metrics: reg},
 		devices: make(map[string]*device),

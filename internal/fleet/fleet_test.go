@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +145,25 @@ func counterValue(t *testing.T, reg *obs.Registry, name string, labels map[strin
 	return 0
 }
 
+// mulVec gathers B·T·x through the session and decodes it as the engine
+// does, so the fleet tests can check exact A·x results.
+func mulVec(s *Session[uint64], x []uint64) ([]uint64, error) {
+	y, err := s.GatherContext(context.Background(), x)
+	if err != nil {
+		return nil, err
+	}
+	return s.code.Decode(y)
+}
+
+// mulMat is mulVec for an l×n input matrix.
+func mulMat(s *Session[uint64], x *matrix.Dense[uint64]) (*matrix.Dense[uint64], error) {
+	y, err := s.GatherBatchContext(context.Background(), x)
+	if err != nil {
+		return nil, err
+	}
+	return s.code.DecodeBatch(y)
+}
+
 func checkResult(t *testing.T, want, got []uint64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -164,7 +186,7 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 	for j := range env.proxies {
 		env.proxies[j][0].SetMode(FaultDrop)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +207,7 @@ func TestFaultOneReplicaOfEachBlockDown(t *testing.T) {
 			xm.Set(i, j, env.f.Rand(rng))
 		}
 	}
-	ym, err := s.MulMat(xm)
+	ym, err := mulMat(s, xm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +232,34 @@ func TestFaultTruncatedResponseFailsOver(t *testing.T) {
 	s := env.serve(t)
 	env.proxies[0][0].SetTruncate(10)
 	env.proxies[0][0].SetMode(FaultTruncate)
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, env.want, got)
+}
+
+// TestFaultWrongLengthResultRejected: a replica answering with the wrong
+// number of values for its block (here it stores one row too many) fails
+// its attempt, for vector and batch queries alike, so a mis-provisioned
+// device can never reach the decoder.
+func TestFaultWrongLengthResultRejected(t *testing.T) {
+	env := newTestEnv(t, 1, 0)
+	env.cfg.MaxRetries = -1
+	s := env.serve(t)
+	rows := env.enc.Blocks[0].Rows()
+	wrong := matrix.New[uint64](rows+1, env.a.Cols())
+	if err := (transport.Cloud[uint64]{Timeout: 2 * time.Second}).Store(t.Context(), env.proxies[0][0].Addr(), wrong); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("returned %d values for block 0, want %d", rows+1, rows)
+	if _, err := mulVec(s, env.x); !errors.Is(err, ErrBlockUnavailable) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("vector err = %v, want ErrBlockUnavailable naming %q", err, want)
+	}
+	want = fmt.Sprintf("returned %d rows for block 0, want %d", rows+1, rows)
+	if _, err := mulMat(s, matrix.New[uint64](env.a.Cols(), 2)); !errors.Is(err, ErrBlockUnavailable) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("batch err = %v, want ErrBlockUnavailable naming %q", err, want)
+	}
 }
 
 // TestFaultAllReplicasDownTypedError: when every replica of one block is
@@ -230,7 +275,7 @@ func TestFaultAllReplicasDownTypedError(t *testing.T) {
 		p.SetMode(FaultDrop)
 	}
 	start := time.Now()
-	_, err := s.MulVec(env.x)
+	_, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBlockUnavailable) {
 		t.Fatalf("err = %v, want errors.Is ErrBlockUnavailable", err)
@@ -263,7 +308,7 @@ func TestFaultBlackholeHedgedRequestWins(t *testing.T) {
 	s := env.serve(t)
 	env.proxies[0][0].SetMode(FaultBlackhole)
 	start := time.Now()
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +331,7 @@ func TestFaultDelayedLeaderHedgeStillCorrect(t *testing.T) {
 	env.proxies[0][0].SetDelay(60 * time.Millisecond)
 	env.proxies[0][0].SetMode(FaultDelay)
 	for i := 0; i < 3; i++ {
-		got, err := s.MulVec(env.x)
+		got, err := mulVec(s, env.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +362,7 @@ func TestFaultProbeOpensBreakerAndStandbyRepairs(t *testing.T) {
 	if n := s.Standbys(); n != 0 {
 		t.Fatalf("standby pool has %d devices after promotion, want 0", n)
 	}
-	got, err := s.MulVec(env.x)
+	got, err := mulVec(s, env.x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +396,7 @@ func TestFaultConcurrentQueriesSurviveKillAndRepair(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for q := 0; q < queries; q++ {
-				got, err := s.MulVec(env.x)
+				got, err := mulVec(s, env.x)
 				if err != nil {
 					errs[w] = err
 					return
@@ -424,8 +469,8 @@ func TestServeValidation(t *testing.T) {
 	}
 
 	s := env.serve(t)
-	if _, err := s.MulVec(make([]uint64, 99)); err == nil {
-		t.Fatal("MulVec accepted a wrong-length input")
+	if _, err := mulVec(s, make([]uint64, 99)); err == nil {
+		t.Fatal("GatherContext accepted a wrong-length input")
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math/rand/v2"
 	"slices"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/scec/scec/internal/matrix"
 	"github.com/scec/scec/internal/obs"
+	"github.com/scec/scec/internal/obs/trace"
 )
 
 // referencePercentile is the sort-a-copy percentile the incremental ring
@@ -77,6 +79,25 @@ func TestHandleHedgeDelayAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestHandleUntracedSpansAllocs guards the session's span sites when
+// nothing traces: opening the gather and attempt spans with their
+// attributes, as gather and raceReplicas do, allocates nothing.
+func TestHandleUntracedSpansAllocs(t *testing.T) {
+	s := &Session[uint64]{}
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() {
+		_, gsp := s.startSpan(ctx, trace.SpanFleetGather,
+			trace.A(trace.AttrKind, kindVec), trace.A("blocks", strconv.Itoa(3)))
+		_, asp := s.startSpan(ctx, trace.SpanFleetAttempt,
+			trace.A(trace.AttrDevice, "127.0.0.1:1"), trace.A(trace.AttrHedged, strconv.FormatBool(true)))
+		asp.End()
+		gsp.End()
+	})
+	if n != 0 {
+		t.Fatalf("untraced fleet spans allocate %v times per query, want 0", n)
+	}
+}
+
 // TestHandleWinnerObserveAllocs guards the per-block winner record. The
 // handles are resolved at Serve, so an observation looks nothing up; the
 // one allocation left is the retained exemplar of an attributable
@@ -115,26 +136,32 @@ func histCount(t *testing.T, reg *obs.Registry, name, key, value string) int64 {
 
 // TestHandleSessionRecordsThroughResolvedHandles checks that the handles
 // resolved at Serve are the session's registry series: every query lands
-// once in the gather and decode stages, and every block fetch once in its
-// block's winner histogram.
+// once in the gather stage, and every block fetch once in its block's
+// winner histogram. The session records no decode: the engine decodes
+// (internal/engine TestHandleQueryRecordsDecodeOnce).
 func TestHandleSessionRecordsThroughResolvedHandles(t *testing.T) {
 	env := newTestEnv(t, 1, 0)
 	s := env.serve(t)
 	const vecs, mats = 5, 2
 	for i := 0; i < vecs; i++ {
-		if _, err := s.MulVec(env.x); err != nil {
+		if _, err := mulVec(s, env.x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	xm := matrix.New[uint64](env.a.Cols(), 2)
 	for i := 0; i < mats; i++ {
-		if _, err := s.MulMat(xm); err != nil {
+		if _, err := mulMat(s, xm); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, stage := range []string{obs.StageGather, obs.StageDecode} {
-		if got := histCount(t, env.reg, obs.MetricStageSeconds, "stage", stage); got != vecs+mats {
-			t.Errorf("stage %s count = %d, want %d", stage, got, vecs+mats)
+	if got := histCount(t, env.reg, obs.MetricStageSeconds, "stage", obs.StageGather); got != vecs+mats {
+		t.Errorf("stage %s count = %d, want %d", obs.StageGather, got, vecs+mats)
+	}
+	for _, fam := range env.reg.Snapshot().Metrics {
+		for _, sr := range fam.Series {
+			if fam.Name == obs.MetricStageSeconds && sr.Labels["stage"] == obs.StageDecode {
+				t.Errorf("session recorded %d decodes; the engine decodes", sr.Count)
+			}
 		}
 	}
 	for j := 0; j < env.scheme.Devices(); j++ {

@@ -33,11 +33,10 @@ type sessionMetrics struct {
 	repairsFail *obs.Counter
 
 	// Query-path handles, resolved by initServed once the fleet is
-	// provisioned: the gather and decode stages, and each logical block's
+	// provisioned: the gather stage, and each logical block's
 	// winner-latency histogram (indexed by block; the label set is bounded
 	// by the scheme's device count).
 	gather  obs.Stage
-	decode  obs.Stage
 	winners []*obs.Histogram
 }
 
@@ -85,7 +84,6 @@ func (m *sessionMetrics) repairs(outcome string) *obs.Counter {
 // logical blocks.
 func (m *sessionMetrics) initServed(reg *obs.Registry, blocks int) {
 	m.gather = reg.Stage(obs.StageGather)
-	m.decode = reg.Stage(obs.StageDecode)
 	m.winners = make([]*obs.Histogram, blocks)
 	for j := range m.winners {
 		m.winners[j] = reg.Histogram(obs.MetricFleetBlockWinnerSeconds,

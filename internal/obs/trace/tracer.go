@@ -138,7 +138,9 @@ func (t *Tracer) start(ctx context.Context, parent SpanContext, name string, att
 		parent: parent.SpanID,
 		name:   name,
 		start:  t.clock.Now(),
-		attrs:  attrs,
+		// A copy, so the caller's variadic slice does not escape: untraced
+		// call sites then pass attributes without allocating.
+		attrs: append([]Attr(nil), attrs...),
 	}
 	t.started.Add(1)
 	return ContextWithSpan(ctx, s), s
@@ -243,7 +245,7 @@ func (s *Span) AddEvent(name string, attrs ...Attr) {
 	now := s.tracer.clock.Now()
 	s.mu.Lock()
 	if !s.done {
-		s.events = append(s.events, Event{Name: name, Time: now, Attrs: attrs})
+		s.events = append(s.events, Event{Name: name, Time: now, Attrs: append([]Attr(nil), attrs...)})
 	}
 	s.mu.Unlock()
 }

@@ -343,3 +343,44 @@ func TestAssembleWaterfall(t *testing.T) {
 		t.Fatalf("AssembleTrace on unknown id succeeded")
 	}
 }
+
+// TestHandleUntracedSpanAttrsDoNotAllocate pins that attributes cost nothing
+// when nothing traces: a nil tracer's StartRoot/StartSpan and a nil span's
+// AddEvent take attributes without allocating, because the tracer copies
+// attributes rather than keeping the caller's variadic slice.
+func TestHandleUntracedSpanAttrsDoNotAllocate(t *testing.T) {
+	var tr *Tracer
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() {
+		qctx, root := tr.StartRoot(ctx, SpanFleetGather, A(AttrKind, "vec"), A("blocks", "3"))
+		_, sp := tr.StartSpan(qctx, SpanFleetAttempt, A(AttrDevice, "127.0.0.1:1"), A(AttrHedged, "false"))
+		root.AddEvent(EventHedge, A(AttrDevice, "127.0.0.1:2"))
+		sp.End()
+		root.End()
+	})
+	if n != 0 {
+		t.Fatalf("untraced spans with attributes allocate %v times per call, want 0", n)
+	}
+}
+
+// TestHandleTracedSpanKeepsOwnAttrs checks the other side of the copy: a
+// traced span's attributes and events stay as recorded when the caller
+// reuses its slice afterwards.
+func TestHandleTracedSpanKeepsOwnAttrs(t *testing.T) {
+	tr := New(Options{Service: "t"})
+	attrs := []Attr{A(AttrKind, "vec")}
+	_, sp := tr.StartRoot(context.Background(), SpanFleetGather, attrs...)
+	sp.AddEvent(EventHedge, attrs...)
+	attrs[0] = A(AttrKind, "mat")
+	sp.End()
+	sd, ok := sp.Data()
+	if !ok {
+		t.Fatal("ended span has no data")
+	}
+	if len(sd.Attrs) != 1 || sd.Attrs[0].Value != "vec" {
+		t.Errorf("span attrs = %+v, want kind=vec", sd.Attrs)
+	}
+	if len(sd.Events) != 1 || len(sd.Events[0].Attrs) != 1 || sd.Events[0].Attrs[0].Value != "vec" {
+		t.Errorf("event attrs = %+v, want kind=vec", sd.Events)
+	}
+}

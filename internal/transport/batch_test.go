@@ -29,9 +29,10 @@ func TestMulMatEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 	x := matrix.Random[uint64](f, rng, l, n)
-	got, err := client.MulMat(t.Context(), addrs, x)
+	got, err := mulMat(t.Context(), client, code, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +58,14 @@ func TestMulMatRemoteValidation(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 	// Wrong X row count (needs l = 5 rows).
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](3, 2)); !errors.Is(err, ErrRemote) {
+	if _, err := mulMat(t.Context(), client, code, addrs, matrix.New[uint64](3, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 	// Zero-column X.
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](5, 0)); !errors.Is(err, ErrRemote) {
+	if _, err := mulMat(t.Context(), client, code, addrs, matrix.New[uint64](5, 0)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("zero-column err = %v, want ErrRemote", err)
 	}
 }
@@ -75,15 +77,16 @@ func TestMulMatBeforeStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulMat(t.Context(), addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
+	if _, err := mulMat(t.Context(), client, code, addrs, matrix.New[uint64](5, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 }
 
 // TestGatherRawForCollusionScheme runs the collusion (Cauchy) scheme over
-// TCP: the client gathers raw intermediate values with Gather and decodes
-// with the scheme's own Gaussian decoder.
+// TCP: the raw intermediate values gathered with Client.Compute decode
+// through the scheme's own Gaussian decoder.
 func TestGatherRawForCollusionScheme(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
@@ -110,11 +113,7 @@ func TestGatherRawForCollusionScheme(t *testing.T) {
 
 	client := Client[uint64]{F: f, Timeout: 2 * time.Second}
 	x := matrix.RandomVec[uint64](f, rng, l)
-	y, err := client.Gather(t.Context(), addrs, rows, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cs.Decode(y)
+	got, err := mulVec(t.Context(), client, cs, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +139,13 @@ func TestDeviceStats(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 	x := matrix.RandomVec[uint64](f, rng, 3)
-	if _, err := client.MulVec(t.Context(), addrs, x); err != nil {
+	if _, err := mulVec(t.Context(), client, code, addrs, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.MulMat(t.Context(), addrs, matrix.Random[uint64](f, rng, 3, 2)); err != nil {
+	if _, err := mulMat(t.Context(), client, code, addrs, matrix.Random[uint64](f, rng, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	for j, srv := range servers {
@@ -186,12 +186,5 @@ func TestDeviceElementCap(t *testing.T) {
 
 	if _, err := NewDeviceServerLimited(f, "127.0.0.1:0", 0); err == nil {
 		t.Fatal("zero cap should be rejected")
-	}
-}
-
-func TestGatherValidation(t *testing.T) {
-	c := Client[uint64]{F: field.Prime{}}
-	if _, err := c.Gather(t.Context(), []string{"127.0.0.1:1"}, []int{1, 2}, nil); err == nil {
-		t.Fatal("addrs/rows length mismatch should error")
 	}
 }

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -143,5 +146,43 @@ func TestHandleUntracedClientSpanIsNil(t *testing.T) {
 	}
 	if req.tp != "" {
 		t.Fatal("untraced round trip carries a traceparent")
+	}
+}
+
+// TestHandleFrameReaderAllocs pins the frame readers' allocations per
+// frame: a compute request decodes into its request and its x slab, a
+// compute response into its response and its y slab. Header fields,
+// dimensions and status bytes are read in place from the bufio.Reader.
+func TestHandleFrameReaderAllocs(t *testing.T) {
+	cod, _ := codecFor[uint64]()
+	le64 := func(vals ...uint64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	// Compute x=[5 7] on stream 2, and its response y=[31] with no spans.
+	req := append([]byte{26, 0, 0, 0, 2, 0, 0, 0, opCompute, 0, 2, 0, 0, 0}, le64(5, 7)...)
+	resp := append(append([]byte{22, 0, 0, 0, 2, 0, 0, 0, opCompute | opResponseBit, 0, 1, 0, 0, 0}, le64(31)...), 0, 0, 0, 0)
+	var rd bytes.Reader
+	br := bufio.NewReader(&rd)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(req)
+		br.Reset(&rd)
+		if r, err := readRequestFrame[uint64](br, cod, DefaultMaxElements); err != nil || len(r.x) != 2 {
+			t.Fatalf("request frame: %v", err)
+		}
+	}); n != 2 {
+		t.Errorf("readRequestFrame allocates %v times per compute frame, want 2 (request, x)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(resp)
+		br.Reset(&rd)
+		if _, r, err := readResponseFrame[uint64](br, cod); err != nil || len(r.y) != 1 || r.y[0] != 31 {
+			t.Fatalf("response frame: %v", err)
+		}
+	}); n != 2 {
+		t.Errorf("readResponseFrame allocates %v times per compute frame, want 2 (response, y)", n)
 	}
 }

@@ -62,9 +62,10 @@ func TestMetricsWired(t *testing.T) {
 	if err := (Cloud[uint64]{Metrics: reg}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Metrics: reg}
+	client := Client[uint64]{F: f, Metrics: reg}
+	code := coding.BindScheme(f, s)
 	x := matrix.RandomVec[uint64](f, rng, l)
-	if _, err := client.MulVec(t.Context(), addrs, x); err != nil {
+	if _, err := mulVec(t.Context(), client, code, addrs, x); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,8 +88,9 @@ func TestMetricsWired(t *testing.T) {
 	if got := snapshotValue(snap, obs.MetricRPCClientErrors); got > 0 {
 		t.Errorf("%s = %g on a clean run, want 0", obs.MetricRPCClientErrors, got)
 	}
-	// Stage spans: store (cloud), compute (per device), gather + decode
-	// (client) must all have fired on this registry.
+	// Stage spans: store (cloud) and compute (per device) must have fired
+	// on this registry. Gather is the fleet session's stage and decode the
+	// engine's; their handle tests check them.
 	stageCounts := map[string]int64{}
 	for _, fam := range snap.Metrics {
 		if fam.Name != obs.MetricStageSeconds {
@@ -98,7 +100,7 @@ func TestMetricsWired(t *testing.T) {
 			stageCounts[s.Labels["stage"]] += s.Count
 		}
 	}
-	for _, stage := range []string{obs.StageStore, obs.StageCompute, obs.StageGather, obs.StageDecode} {
+	for _, stage := range []string{obs.StageStore, obs.StageCompute} {
 		if stageCounts[stage] == 0 {
 			t.Errorf("stage %q never observed; got %v", stage, stageCounts)
 		}
@@ -121,10 +123,11 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Metrics: reg}
-	_, err = client.MulVec(t.Context(), []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
+	client := Client[uint64]{F: f, Metrics: reg}
+	code := coding.BindScheme(f, s)
+	_, err = mulVec(t.Context(), client, code, []string{srv.Addr(), srv.Addr()}, []uint64{1, 2, 3})
 	if !errors.Is(err, ErrRemote) {
-		t.Fatalf("MulVec against an unprovisioned device: err = %v, want ErrRemote", err)
+		t.Fatalf("query against an unprovisioned device: err = %v, want ErrRemote", err)
 	}
 	snap := reg.Snapshot()
 	if got := snapshotValue(snap, obs.MetricRPCClientErrors); got < 1 {

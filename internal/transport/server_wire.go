@@ -311,8 +311,8 @@ type response[E comparable] struct {
 // readResponseFrame decodes one response frame, returning its stream ID
 // for mux dispatch.
 func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *response[E], error) {
-	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := nextBytes(br, frameOverhead)
+	if err != nil {
 		return 0, nil, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
@@ -325,21 +325,21 @@ func readResponseFrame[E comparable](br *bufio.Reader, cod elemCodec) (uint32, *
 		return 0, nil, fmt.Errorf("transport: request op %#x in response frame", wr.op)
 	}
 	body := int(length) - 5
-	var u [8]byte
-	if _, err := io.ReadFull(br, u[:1]); err != nil {
+	status, err := br.ReadByte()
+	if err != nil {
 		return 0, nil, err
 	}
-	status := u[0]
 	body--
 	readU32 := func() (int, error) {
 		if body < 4 {
 			return 0, errors.New("transport: truncated response payload")
 		}
-		if _, err := io.ReadFull(br, u[:4]); err != nil {
+		u, err := nextBytes(br, 4)
+		if err != nil {
 			return 0, err
 		}
 		body -= 4
-		return int(binary.LittleEndian.Uint32(u[:4])), nil
+		return int(binary.LittleEndian.Uint32(u)), nil
 	}
 	if status != 0 {
 		n, err := readU32()

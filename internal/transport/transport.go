@@ -5,9 +5,10 @@
 //     coded block B_j·T to it (Store),
 //   - each edge device is a DeviceServer that stores its block and answers
 //     compute requests with B_j·T·x,
-//   - the user is a Client that broadcasts x to the selected devices,
-//     gathers the intermediate results in device order, and decodes Ax with
-//     m subtractions.
+//   - the user's Client sends x to one device and returns its intermediate
+//     result; the fleet runtime (package fleet) scatters a query over the
+//     selected devices through it and the engine (package engine) decodes
+//     Ax with m subtractions.
 //
 // The package is generic over the field element type and speaks one wire
 // protocol, v3 (see wire.go): one persistent connection per device
@@ -458,17 +459,16 @@ func (c Cloud[E]) store(ctx context.Context, addr string, block *matrix.Dense[E]
 	return err
 }
 
-// Client is the user role: it queries the fleet and decodes the result.
+// Client is the user role's per-device primitive: it sends x to one device
+// and returns that device's undecoded intermediate result. Scattering a
+// query over the fleet and decoding it belong to the layers above
+// (fleet.Session gathers, engine.Query decodes).
 type Client[E comparable] struct {
 	// F is the arithmetic field shared with the fleet.
 	F field.Field[E]
-	// Code is the coding design the fleet was provisioned with — the
-	// structured Eq. (8) scheme or any other coding.Code (t-collusion).
-	Code coding.Code[E]
 	// Timeout bounds each device round trip; zero means DefaultTimeout.
 	Timeout time.Duration
-	// Metrics receives RPC and gather/decode-stage telemetry; nil means
-	// obs.Default().
+	// Metrics receives RPC telemetry; nil means obs.Default().
 	Metrics *obs.Registry
 	// Pool holds the persistent device connections; nil means the shared
 	// per-element-type pool.
@@ -500,72 +500,9 @@ func (c Client[E]) ConnDebug(addr string) ConnDebug {
 	return c.pool().Debug(addr)
 }
 
-// Gather sends x to every device concurrently and concatenates the
-// intermediate results in device order, returning the raw vector B·T·x
-// without decoding. rowsOn[j] gives the expected result length of device j.
-// Callers with a structured scheme use MulVec instead; Gather exists for
-// custom decoders (e.g. the collusion scheme's Gaussian decoding).
-func (c Client[E]) Gather(ctx context.Context, addrs []string, rowsOn []int, x []E) ([]E, error) {
-	if len(addrs) != len(rowsOn) {
-		return nil, fmt.Errorf("transport: %d addresses for %d row counts", len(addrs), len(rowsOn))
-	}
-	reg := metricsOrDefault(c.Metrics)
-	defer obs.StartStage(reg, obs.StageGather).End()
-	parts := make([][]E, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for j, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, c.Timeout, reg, &request[E]{op: opCompute, x: x})
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			if len(resp.y) != rowsOn[j] {
-				errs[j] = fmt.Errorf("transport: device %d returned %d values, want %d", j, len(resp.y), rowsOn[j])
-				return
-			}
-			parts[j] = resp.y
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for j, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		total += rowsOn[j]
-	}
-	y := make([]E, 0, total)
-	for _, p := range parts {
-		y = append(y, p...)
-	}
-	return y, nil
-}
-
-// MulVec computes Ax through the fleet: it sends x to every device
-// concurrently, concatenates the intermediate results in device order, and
-// decodes through the client's code. addrs must list the fleet in code
-// device order.
-func (c Client[E]) MulVec(ctx context.Context, addrs []string, x []E) ([]E, error) {
-	rowsOn, err := c.codeRows(addrs)
-	if err != nil {
-		return nil, err
-	}
-	y, err := c.Gather(ctx, addrs, rowsOn, x)
-	if err != nil {
-		return nil, err
-	}
-	defer obs.StartStage(c.Metrics, obs.StageDecode).End()
-	return c.Code.Decode(y)
-}
-
 // Compute sends x to one device and returns its intermediate result B_j·T·x
 // without validation against a scheme. It is the single-replica primitive
-// the fleet runtime races across a replica set; scheme-order callers use
-// Gather or MulVec instead.
+// the fleet runtime races across a replica set.
 func (c Client[E]) Compute(ctx context.Context, addr string, x []E) ([]E, error) {
 	resp, err := c.pool().roundTrip(ctx, addr, c.Timeout, c.Metrics, &request[E]{op: opCompute, x: x})
 	if err != nil {
@@ -589,63 +526,6 @@ func (c Client[E]) ComputeBatch(ctx context.Context, addr string, x *matrix.Dens
 func (c Client[E]) Ping(ctx context.Context, addr string) error {
 	_, err := c.pool().roundTrip(ctx, addr, c.Timeout, c.Metrics, &request[E]{op: opPing})
 	return err
-}
-
-// MulMat computes A·X through the fleet for an l×n input matrix — the batch
-// generalization (§II-A): each device returns its V(B_j)×n block and the
-// user decodes with m·n subtractions.
-func (c Client[E]) MulMat(ctx context.Context, addrs []string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
-	rowsOn, err := c.codeRows(addrs)
-	if err != nil {
-		return nil, err
-	}
-	reg := metricsOrDefault(c.Metrics)
-	gather := obs.StartStage(reg, obs.StageGather)
-	parts := make([]*matrix.Dense[E], len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for j, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.pool().roundTrip(ctx, addr, c.Timeout, reg, &request[E]{op: opComputeBatch, xmat: x})
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			if resp.yMat.Rows() != rowsOn[j] {
-				errs[j] = fmt.Errorf("transport: device %d returned %d rows, want %d", j, resp.yMat.Rows(), rowsOn[j])
-				return
-			}
-			parts[j] = resp.yMat
-		}()
-	}
-	wg.Wait()
-	gather.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	y := matrix.VStack(parts...)
-	defer obs.StartStage(reg, obs.StageDecode).End()
-	return c.Code.DecodeBatch(y)
-}
-
-// codeRows validates the client configuration and returns per-device
-// expected row counts.
-func (c Client[E]) codeRows(addrs []string) ([]int, error) {
-	if c.Code == nil {
-		return nil, errors.New("transport: client has no coding code")
-	}
-	if len(addrs) != c.Code.Devices() {
-		return nil, fmt.Errorf("transport: %d addresses for %d devices", len(addrs), c.Code.Devices())
-	}
-	rowsOn := make([]int, len(addrs))
-	for j := range rowsOn {
-		rowsOn[j] = c.Code.RowsOn(j)
-	}
-	return rowsOn, nil
 }
 
 // Ping checks a device is reachable.

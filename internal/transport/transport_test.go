@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +37,43 @@ func startFleet[E comparable](t *testing.T, f field.Field[E], n int) ([]string, 
 	return addrs, servers
 }
 
+// mulVec is the user role over an unreplicated fleet, as the tests need
+// it: x goes to every device through Client.Compute concurrently, and the
+// parts concatenate in device order and decode through code.
+func mulVec[E comparable](ctx context.Context, c Client[E], code coding.Code[E], addrs []string, x []E) ([]E, error) {
+	parts, err := scatter(addrs, func(addr string) ([]E, error) { return c.Compute(ctx, addr, x) })
+	if err != nil {
+		return nil, err
+	}
+	return code.Decode(slices.Concat(parts...))
+}
+
+// mulMat is mulVec for an l×n input matrix, through Client.ComputeBatch.
+func mulMat[E comparable](ctx context.Context, c Client[E], code coding.Code[E], addrs []string, x *matrix.Dense[E]) (*matrix.Dense[E], error) {
+	parts, err := scatter(addrs, func(addr string) (*matrix.Dense[E], error) { return c.ComputeBatch(ctx, addr, x) })
+	if err != nil {
+		return nil, err
+	}
+	return code.DecodeBatch(matrix.VStack(parts...))
+}
+
+// scatter runs call against every address concurrently and returns the
+// results in address order, or every failure joined.
+func scatter[T any](addrs []string, call func(addr string) (T, error)) ([]T, error) {
+	out := make([]T, len(addrs))
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
+	for j, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[j], errs[j] = call(addr)
+		}()
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
 func TestEndToEndPrime(t *testing.T) {
 	f := field.Prime{}
 	rng := testRNG()
@@ -60,9 +99,10 @@ func TestEndToEndPrime(t *testing.T) {
 		}
 	}
 
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 	x := matrix.RandomVec[uint64](f, rng, l)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := mulVec(t.Context(), client, code, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +129,10 @@ func TestEndToEndReal(t *testing.T) {
 	if err := (Cloud[float64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[float64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[float64]{F: f}
+	code := coding.BindScheme(f, s)
 	x := matrix.RandomVec[float64](f, rng, l)
-	got, err := client.MulVec(t.Context(), addrs, x)
+	got, err := mulVec(t.Context(), client, code, addrs, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +148,9 @@ func TestComputeBeforeStoreFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startFleet[uint64](t, f, s.Devices())
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
+	if _, err := mulVec(t.Context(), client, code, addrs, make([]uint64, 3)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (no block stored)", err)
 	}
 }
@@ -129,8 +171,9 @@ func TestWrongInputLengthRejectedRemotely(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
+	if _, err := mulVec(t.Context(), client, code, addrs, make([]uint64, 2)); !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote (bad x length)", err)
 	}
 }
@@ -141,13 +184,14 @@ func TestUnreachableDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s), Timeout: 500 * time.Millisecond}
+	client := Client[uint64]{F: f, Timeout: 500 * time.Millisecond}
+	code := coding.BindScheme(f, s)
 	// Reserve ports that nothing is listening on by binding and closing.
 	addrs, servers := startFleet[uint64](t, f, s.Devices())
 	for _, srv := range servers {
 		_ = srv.Close()
 	}
-	if _, err := client.MulVec(t.Context(), addrs, make([]uint64, 3)); err == nil {
+	if _, err := mulVec(t.Context(), client, code, addrs, make([]uint64, 3)); err == nil {
 		t.Fatal("expected a dial error against a closed fleet")
 	}
 }
@@ -166,22 +210,6 @@ func TestDistributeValidation(t *testing.T) {
 	}
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), []string{"127.0.0.1:1"}, enc); err == nil {
 		t.Fatal("address/block count mismatch should error")
-	}
-}
-
-func TestClientValidation(t *testing.T) {
-	f := field.Prime{}
-	s, err := coding.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
-	if _, err := c.MulVec(t.Context(), []string{"127.0.0.1:1"}, make([]uint64, 3)); err == nil {
-		t.Fatal("address count mismatch should error")
-	}
-	c.Code = nil
-	if _, err := c.MulVec(t.Context(), nil, nil); err == nil {
-		t.Fatal("missing code should error")
 	}
 }
 
@@ -233,7 +261,8 @@ func TestConcurrentClients(t *testing.T) {
 	if err := (Cloud[uint64]{}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatal(err)
 	}
-	client := Client[uint64]{F: f, Code: coding.BindScheme(f, s)}
+	client := Client[uint64]{F: f}
+	code := coding.BindScheme(f, s)
 
 	const parallel = 8
 	xs := make([][]uint64, parallel)
@@ -245,7 +274,7 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan int, parallel)
 	for i := 0; i < parallel; i++ {
 		go func() {
-			results[i], errs[i] = client.MulVec(t.Context(), addrs, xs[i])
+			results[i], errs[i] = mulVec(t.Context(), client, code, addrs, xs[i])
 			done <- i
 		}()
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"github.com/scec/scec/internal/matrix"
@@ -166,17 +167,19 @@ func readElems[E comparable](r io.Reader, dst []E, size int) error {
 
 // readElemsChunked reads total elements, growing the destination in
 // bounded chunks so a forged frame header cannot provoke a huge upfront
-// allocation: memory grows only as fast as bytes actually arrive.
+// allocation: memory grows only as fast as bytes actually arrive. Each
+// chunk reads straight into the destination, so a result of at most one
+// chunk costs exactly one allocation.
 func readElemsChunked[E comparable](r io.Reader, total int, size int) ([]E, error) {
 	const chunk = 1 << 16
 	dst := make([]E, 0, min(total, chunk))
-	buf := make([]E, min(total, chunk))
 	for len(dst) < total {
 		n := min(total-len(dst), chunk)
-		if err := readElems(r, buf[:n], size); err != nil {
+		dst = slices.Grow(dst, n)
+		if err := readElems(r, dst[len(dst):len(dst)+n], size); err != nil {
 			return nil, err
 		}
-		dst = append(dst, buf[:n]...)
+		dst = dst[:len(dst)+n]
 	}
 	return dst, nil
 }
@@ -236,6 +239,24 @@ func readServerHello(r io.Reader, wantCode byte) error {
 	return nil
 }
 
+// nextBytes consumes the next n bytes of br and returns them in place, valid
+// until the next read from br. Unlike io.ReadFull into a local array,
+// which escapes through the io.Reader interface, it allocates nothing; n
+// must not exceed br's buffer size. Errors follow io.ReadFull: io.EOF when
+// no byte was available, io.ErrUnexpectedEOF after a partial read.
+func nextBytes(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err != nil {
+		_, _ = br.Discard(len(b))
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = br.Discard(n)
+	return b, nil
+}
+
 // request is one v3 request frame: built by the cloud and user roles and
 // encoded by encodeRequestFrame, or decoded on the device by
 // readRequestFrame.
@@ -264,11 +285,11 @@ type request[E comparable] struct {
 // header byte surfaces unchanged so callers can distinguish clean
 // connection teardown.
 func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements int) (*request[E], error) {
-	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
+	if _, err := br.Peek(1); err != nil {
 		return nil, err // io.EOF here = clean close between frames
 	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+	hdr, err := nextBytes(br, frameOverhead)
+	if err != nil {
 		return nil, fmt.Errorf("transport: short frame header: %w", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
@@ -286,37 +307,36 @@ func readRequestFrame[E comparable](br *bufio.Reader, cod elemCodec, maxElements
 	}
 
 	// Traceparent prefix: u8 len | bytes.
-	var tl [1]byte
 	if body < 1 {
 		return nil, errors.New("transport: truncated request payload")
 	}
-	if _, err := io.ReadFull(br, tl[:]); err != nil {
+	tl, err := br.ReadByte()
+	if err != nil {
 		return nil, fmt.Errorf("transport: read traceparent length: %w", err)
 	}
 	body--
-	if int(tl[0]) > body {
+	if int(tl) > body {
 		return nil, errors.New("transport: traceparent overruns frame")
 	}
-	if tl[0] > 0 {
-		tp := make([]byte, tl[0])
-		if _, err := io.ReadFull(br, tp); err != nil {
+	if tl > 0 {
+		tp, err := nextBytes(br, int(tl))
+		if err != nil {
 			return nil, fmt.Errorf("transport: read traceparent: %w", err)
 		}
 		body -= len(tp)
 		req.tp = string(tp)
 	}
 
-	readDims := func(n int) ([]uint32, error) {
-		var b [8]byte
+	readDims := func(n int) (dims [2]uint32, err error) {
 		if body < 4*n {
-			return nil, errors.New("transport: truncated request dimensions")
+			return dims, errors.New("transport: truncated request dimensions")
 		}
-		if _, err := io.ReadFull(br, b[:4*n]); err != nil {
-			return nil, fmt.Errorf("transport: read dimensions: %w", err)
+		b, err := nextBytes(br, 4*n)
+		if err != nil {
+			return dims, fmt.Errorf("transport: read dimensions: %w", err)
 		}
 		body -= 4 * n
-		dims := make([]uint32, n)
-		for i := range dims {
+		for i := range n {
 			dims[i] = binary.LittleEndian.Uint32(b[4*i:])
 		}
 		return dims, nil

@@ -222,12 +222,12 @@ func diffReference[E comparable](t *testing.T, f field.Field[E], exact bool) {
 	if err := (Cloud[E]{Timeout: 2 * time.Second, Pool: pool}).Distribute(t.Context(), addrs, enc); err != nil {
 		t.Fatalf("distribute: %v", err)
 	}
-	client := Client[E]{F: f, Code: code, Timeout: 2 * time.Second, Pool: pool}
-	vec, err := client.MulVec(t.Context(), addrs, x)
+	client := Client[E]{F: f, Timeout: 2 * time.Second, Pool: pool}
+	vec, err := mulVec(t.Context(), client, code, addrs, x)
 	if err != nil {
 		t.Fatalf("MulVec: %v", err)
 	}
-	mat, err := client.MulMat(t.Context(), addrs, xm)
+	mat, err := mulMat(t.Context(), client, code, addrs, xm)
 	if err != nil {
 		t.Fatalf("MulMat: %v", err)
 	}

@@ -22,8 +22,10 @@ type FleetConfig = fleet.Config
 // Session is the raw fault-tolerant fleet runtime for one deployment: it
 // races each block's replicas per query, hedges stragglers, retries with
 // backoff, quarantines dead devices behind circuit breakers, and re-pushes
-// blocks to standbys in the background when a replica set degrades. Serve
-// wraps one in the engine's query layer; use Served.Session for direct
+// blocks to standbys in the background when a replica set degrades. The
+// session gathers and the engine decodes: its queries (GatherContext,
+// GatherBatchContext) return the undecoded B·T·x, and Serve wraps it in the
+// engine's query layer, which decodes. Use Served.Session for direct
 // access.
 type Session[E comparable] = fleet.Session[E]
 
